@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .errors import DomainError, VerificationError
+from .errors import Check, DomainError, VerificationError
 from .intlinalg import (
     hnf_rows,
     hnf_with_transform,
@@ -36,8 +36,8 @@ from .intlinalg import (
     left_kernel_basis,
     mat_det,
     mat_mul,
-    rational_row_solve,
     row_span_solve,
+    row_vec_mul,
     smith_normal_form,
 )
 from .primeset import PartitionFamily, PrimeSet, XNumber, factorize, is_x_number, valuation
@@ -163,33 +163,42 @@ class FGModule:
         Row j is Xpart(d_j) times the j-th row of the inverse right
         transform: together they span the integer points of the rational
         relation span with every unit (non-X) content stripped, so they
-        stay a basis after localizing anywhere inside X.
+        stay a basis after localizing anywhere inside X.  With L A R = D
+        the j-th row of L A is d_j times that row of the inverse, so it is
+        read off as (L A)_j divided exactly by the unit part of d_j.
         """
         if self._normalized is None:
-            if not self.relations:
-                self._normalized = ()
-            else:
-                data = self._snf_data()
-                rinv = invert_unimodular(data["right"])
-                rows = []
-                for j in range(data["rank"]):
-                    scale = data["stripped"][j]
-                    rows.append(tuple(scale * x for x in rinv[j]))
-                self._normalized = tuple(rows)
+            data = self._snf_data()
+            units = data["units"]
+            scaled = mat_mul(data["left"][: len(units)], self.relations)
+            self._normalized = tuple(
+                tuple(x // u for x in row) for row, u in zip(scaled, units)
+            )
         return self._normalized
 
     def element_is_zero(self, row) -> bool:
-        """Is this coefficient row the zero element of the module?"""
+        """Is this coefficient row the zero element of the module?
+
+        Decided in Smith coordinates.  With L A R = D cached, write
+        y = v R for the row v: v lies in the rational relation span exactly
+        when y_j = 0 past the rank, and then y_j / Xpart(d_j) is its
+        coefficient on normalized row j.  The row is zero when every such
+        coefficient has a denominator invertible over this ring.
+        """
         row = [Fraction(x) for x in row]
-        if all(x == 0 for x in row):
+        clear = lcm(*(x.denominator for x in row))
+        v = [x.numerator * (clear // x.denominator) for x in row]
+        if not any(v):
             return True
-        basis = self.normalized_relation_rows()
-        if not basis:
+        data = self._snf_data()
+        y = row_vec_mul(v, data["right"])
+        if any(y[data["rank"] :]):
             return False
-        coeffs = rational_row_solve([list(r) for r in basis], row)
-        if coeffs is None:
-            return False
-        return all(is_x_number(c.denominator, self.primes) for c in coeffs)
+        for y_j, s_j in zip(y, data["stripped"]):
+            den = s_j * clear // gcd(y_j, s_j * clear)
+            if den != 1 and not is_x_number(den, self.primes):
+                return False
+        return True
 
     def localize(self, sub: PrimeSet):
         """Same presentation over a smaller prime set, with the unit map."""
@@ -230,16 +239,12 @@ class ModuleMap:
             for x in row:
                 if not is_x_number(x.denominator, target.primes):
                     raise ValueError(f"denominator of {x} is not invertible in the target ring")
-        for rel in source.relations:
-            image = self.apply_row(rel)
+        for rel, image in zip(source.relations, mat_mul(source.relations, self.rows)):
             if not target.element_is_zero(image):
                 raise ValueError(f"relation {rel} does not map to zero in the target")
 
     def apply_row(self, v):
-        return [
-            sum((Fraction(x) * self.rows[i][j] for i, x in enumerate(v)), Fraction(0))
-            for j in range(self.target.ngens)
-        ]
+        return row_vec_mul(v, self.rows)
 
     def compose(self, then: "ModuleMap") -> "ModuleMap":
         """The map ``x -> then(self(x))``."""
@@ -276,6 +281,15 @@ class MixedKernel:
     module: FGModule
     inclusions: list
     level: int
+
+
+def _offsets(widths):
+    """Start of each block in a concatenation of blocks of these widths, and the total width."""
+    offsets, total = [], 0
+    for n in widths:
+        offsets.append(total)
+        total += n
+    return offsets, total
 
 
 def _clearing_lcm(blocks) -> int:
@@ -335,25 +349,23 @@ def mixed_kernel(sources, targets, blocks, extra_active: int = 1) -> MixedKernel
     for p in active:
         deepen *= p
 
-    widths = [m.ngens for m in sources]
-    offsets = []
-    pos = 0
-    for n in widths:
-        offsets.append(pos)
-        pos += n
+    offsets, total = _offsets(m.ngens for m in sources)
 
     # Deepen the level until it stops producing new elements.  Lattice rows
     # for one element differ between levels by invertible rescalings, so the
     # comparison has to happen modulo the deeper level's zero lattice.
-    result = _kernel_at_level(sources, targets, blocks, d_clear, prod_elem, union, w)
+    def at_level(level):
+        return _kernel_at_level(
+            sources, targets, blocks, d_clear, prod_elem, union, level, offsets, total
+        )
+
+    result = at_level(w)
     for _ in range(8):
         if deepen == 1:
             break
-        deeper = _kernel_at_level(
-            sources, targets, blocks, d_clear, prod_elem, union, w * deepen
-        )
+        deeper = at_level(w * deepen)
         scaled = [[x * deepen for x in row] for row in result]
-        lam_deep = _zero_lattice_rows(sources, union, w * deepen, offsets, pos)
+        lam_deep = _zero_lattice_rows(sources, union, w * deepen, offsets, total)
         if lattice_equal(scaled + lam_deep, deeper):
             break
         w *= deepen
@@ -362,7 +374,7 @@ def mixed_kernel(sources, targets, blocks, extra_active: int = 1) -> MixedKernel
         raise RuntimeError("kernel lattice failed to stabilize; presentation too deep")
 
     b_sum = result
-    lam_rows = _zero_lattice_rows(sources, union, w, offsets, pos)
+    lam_rows = _zero_lattice_rows(sources, union, w, offsets, total)
     relations = [row_span_solve(b_sum, lam) for lam in lam_rows]
     assert all(r is not None for r in relations), "zero lattice escaped the generator span"
     kernel = FGModule(union, relations, len(b_sum))
@@ -370,7 +382,7 @@ def mixed_kernel(sources, targets, blocks, extra_active: int = 1) -> MixedKernel
     inclusions = []
     for j, m in enumerate(sources):
         rows = [
-            [Fraction(row[offsets[j] + c], w) for c in range(widths[j])]
+            [Fraction(row[offsets[j] + c], w) for c in range(m.ngens)]
             for row in b_sum
         ]
         inclusions.append(ModuleMap(kernel, m, rows))
@@ -399,28 +411,11 @@ def _zero_lattice_rows(sources, union, w, offsets, total):
     return rows
 
 
-def _kernel_at_level(sources, targets, blocks, d_clear, prod_elem, union, w):
-    widths = [m.ngens for m in sources]
-    offsets = []
-    pos = 0
-    for n in widths:
-        offsets.append(pos)
-        pos += n
-    total_v = pos
-
+def _kernel_at_level(sources, targets, blocks, d_clear, prod_elem, union, w, offsets, total_v):
     aux_bases = [t.normalized_relation_rows() for t in targets]
-    aux_offsets = []
-    for rows in aux_bases:
-        aux_offsets.append(pos)
-        pos += len(rows)
-    total = pos
-
-    col_offsets = []
-    cpos = 0
-    for t in targets:
-        col_offsets.append(cpos)
-        cpos += t.ngens
-    eq = [[0] * cpos for _ in range(total)]
+    aux_offsets, total_aux = _offsets(len(rows) for rows in aux_bases)
+    col_offsets, total_cols = _offsets(t.ngens for t in targets)
+    eq = [[0] * total_cols for _ in range(total_v + total_aux)]
 
     for t_idx, t in enumerate(targets):
         non_target = w * d_clear * prod_elem
@@ -441,7 +436,7 @@ def _kernel_at_level(sources, targets, blocks, d_clear, prod_elem, union, w):
                     eq[offsets[j] + r][col_offsets[t_idx] + c] += int(x)
         for r, nb in enumerate(aux_bases[t_idx]):
             for c, x in enumerate(nb):
-                eq[aux_offsets[t_idx] + r][col_offsets[t_idx] + c] = -w * d_clear * x
+                eq[total_v + aux_offsets[t_idx] + r][col_offsets[t_idx] + c] = -w * d_clear * x
 
     kernel_rows = left_kernel_basis(eq)
     gen_rows = []
@@ -456,13 +451,6 @@ def _kernel_at_level(sources, targets, blocks, d_clear, prod_elem, union, w):
 
     lam = _zero_lattice_rows(sources, union, w, offsets, total_v)
     return hnf_rows(gen_rows + lam)
-
-
-@dataclass
-class LocalizationCheck:
-    name: str
-    passed: bool
-    witness: str
 
 
 @dataclass
@@ -493,13 +481,13 @@ def is_localization(f: ModuleMap, at: PrimeSet) -> LocalizationDecision:
         reason = (
             f"kernel has free rank {km.free_rank}" if km.free_rank else f"kernel carries orders {bad}"
         )
-        checks.append(LocalizationCheck("kernel-invertible-torsion", False, reason))
+        checks.append(Check("kernel-invertible-torsion", False, reason))
     else:
         killer = 1
         for d in km.invariants:
             killer = lcm(killer, d)
         checks.append(
-            LocalizationCheck(
+            Check(
                 "kernel-invertible-torsion",
                 True,
                 f"kernel killed by {XNumber(killer, at)}",
@@ -507,7 +495,7 @@ def is_localization(f: ModuleMap, at: PrimeSet) -> LocalizationDecision:
         )
 
     coker_ok, coker_witness = _cokernel_killed(f, at)
-    checks.append(LocalizationCheck("cokernel-killed", coker_ok, coker_witness))
+    checks.append(Check("cokernel-killed", coker_ok, coker_witness))
 
     return LocalizationDecision(all(c.passed for c in checks), tuple(checks))
 
@@ -563,7 +551,6 @@ class FractureSquare:
     to_core: ModuleMap
     local_to_core: dict
     product_at_core: FGModule
-    core_product: FGModule
     spread: ModuleMap
     unscramble: ModuleMap
     diagonal: ModuleMap
@@ -603,15 +590,14 @@ def build_fracture(group: FGModule, family: PartitionFamily) -> FractureSquare:
             row[pos * n : (pos + 1) * n] = rel
             block_rel.append(row)
     product_at_core = FGModule(family.S, block_rel, k * n)
-    core_product = FGModule(family.S, block_rel, k * n)
 
     spread_rows = [[0] * (k * n) for _ in range(n)]
     for pos in range(k):
         for g in range(n):
             spread_rows[g][pos * n + g] = 1
     spread = ModuleMap(core, product_at_core, spread_rows)
-    unscramble = ModuleMap(product_at_core, core_product, identity_matrix(k * n))
-    diagonal = ModuleMap(core, core_product, spread_rows)
+    unscramble = identity_map(product_at_core)
+    diagonal = ModuleMap(core, product_at_core, spread_rows)
     if not spread.compose(unscramble).equal_map(diagonal):
         raise VerificationError("unscrambled spread does not match the diagonal")
 
@@ -636,7 +622,6 @@ def build_fracture(group: FGModule, family: PartitionFamily) -> FractureSquare:
         to_core=sigma,
         local_to_core=phi,
         product_at_core=product_at_core,
-        core_product=core_product,
         spread=spread,
         unscramble=unscramble,
         diagonal=diagonal,
@@ -670,7 +655,7 @@ def torsion_check(square: FractureSquare) -> BlockTorsionReport:
         injective[i] = not parts
     kernel = mixed_kernel(
         [square.product_at_core],
-        [square.core_product],
+        [square.product_at_core],
         {(0, 0): [list(r) for r in square.unscramble.rows]},
     )
     return BlockTorsionReport(per_block, injective, kernel.module.is_zero())
@@ -810,14 +795,8 @@ def _stack_generator_rows(data: PullbackData):
                 assert scaled.denominator == 1
                 row.append(int(scaled))
         gen_rows.append(row)
-    union = data.module.primes
-    widths = [m.ngens for m in sources]
-    offsets = []
-    pos = 0
-    for n in widths:
-        offsets.append(pos)
-        pos += n
-    lam = _zero_lattice_rows(sources, union, w, offsets, pos)
+    offsets, total = _offsets(m.ngens for m in sources)
+    lam = _zero_lattice_rows(sources, data.module.primes, w, offsets, total)
     return gen_rows + lam
 
 

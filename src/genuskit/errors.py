@@ -1,4 +1,15 @@
-"""Shared exception types."""
+"""Shared exception types, and the record of one certificate check."""
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named check of a certificate: whether it passed, and its witness or reason."""
+
+    name: str
+    passed: bool
+    witness: str
 
 
 class GenusKitError(Exception):

@@ -18,11 +18,11 @@ queried element.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, VerificationError
+from .errors import Check, VerificationError
 from .primeset import PrimeSet, factorize, is_x_number
 
 
@@ -345,13 +345,6 @@ def lower_central_series(h: HeisSubgroup):
 
 
 @dataclass
-class HeisCheck:
-    name: str
-    passed: bool
-    witness: str
-
-
-@dataclass
 class PowerClosureReport:
     s: int
     nilpotency_class: int
@@ -492,7 +485,7 @@ def localize_subgroup(
     """
     local = h.localize(sub)
     checks = [
-        HeisCheck(
+        Check(
             "kernel-trivial",
             True,
             "coordinates are preserved, so the re-tagging map is injective",
@@ -521,7 +514,7 @@ def localize_subgroup(
         assert root**u == g
         t = minimal_power_into(local, root, u)
         checks.append(
-            HeisCheck(
+            Check(
                 "surjective-up-to-core-units",
                 True,
                 f"t = {t} raises the sampled {u}-th root {root} into the image",

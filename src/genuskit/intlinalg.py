@@ -21,10 +21,6 @@ def identity_matrix(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(rows: int, cols: int):
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_mul(a, b):
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} @ {len(b)}x{len(b[0])}")
@@ -120,7 +116,10 @@ def invert_rational(a):
 def rational_row_solve(rows, v):
     """Coefficients c with c @ rows == v over Q, or None if v is outside the span.
 
-    Dependent rows are fine; free coefficients come back as 0.
+    Dependent rows are fine; free coefficients come back as 0.  The package
+    decides relation-lattice membership in Smith coordinates instead (see
+    ``FGModule.element_is_zero``); this direct solve over Q is the
+    independent reference that decision is tested against.
     """
     k = len(rows)
     n = len(v)
@@ -273,46 +272,7 @@ def hnf_rows(a):
 
     Zero rows are dropped, so the result is a basis of the row lattice.
     """
-    m = [list(row) for row in a if any(row)]
-    if not m:
-        return []
-    cols = len(m[0])
-    out = []
-    col = 0
-    while m and col < cols:
-        nonzero = [row for row in m if row[col] != 0]
-        rest = [row for row in m if row[col] == 0]
-        if not nonzero:
-            m = rest
-            col += 1
-            continue
-        while len(nonzero) > 1:
-            nonzero.sort(key=lambda row: abs(row[col]))
-            base = nonzero[0]
-            reduced = [base]
-            for row in nonzero[1:]:
-                q = row[col] // base[col]
-                new = [x - q * y for x, y in zip(row, base)]
-                if new[col] != 0:
-                    reduced.append(new)
-                elif any(new):
-                    rest.append(new)
-            nonzero = reduced
-        pivot = nonzero[0]
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        out.append(pivot)
-        m = [row for row in rest if any(row)]
-        col += 1
-    # reduce entries above each pivot; ascending order keeps already-fixed
-    # pivot columns untouched (later rows are zero there)
-    for i in range(1, len(out)):
-        pcol = next(j for j, x in enumerate(out[i]) if x != 0)
-        for k in range(i):
-            q = out[k][pcol] // out[i][pcol]
-            if q:
-                out[k] = [x - q * y for x, y in zip(out[k], out[i])]
-    return out
+    return _hermite(a, len(a[0]) if a else 0)[0]
 
 
 def hnf_with_transform(a):
@@ -324,26 +284,26 @@ def hnf_with_transform(a):
     rows = len(a)
     cols = len(a[0]) if rows else 0
     aug = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(a)]
-    h_aug = _hnf_rows_keep_zero(aug, cols)
-    h = [row[:cols] for row in h_aug if any(row[:cols])]
-    u = [row[cols:] for row in h_aug]
-    return h, u
+    pivots, vanished = _hermite(aug, cols)
+    return [row[:cols] for row in pivots], [row[cols:] for row in pivots + vanished]
 
 
-def _hnf_rows_keep_zero(aug, cols):
-    """HNF on the first ``cols`` columns, carrying the augmented part along."""
-    m = [list(row) for row in aug]
-    done = []
-    col = 0
-    while col < cols:
-        live = [row for row in m if any(row[:cols])]
-        dead = [row for row in m if not any(row[:cols])]
+def _hermite(a, cols):
+    """HNF on the first ``cols`` columns, carrying any further columns along.
+
+    Returns (pivot rows, vanished rows): the staircase rows in pivot order,
+    and the rows that end up zero on the first ``cols`` columns, most
+    recently emptied first.
+    """
+    live, vanished = [], []
+    for row in a:
+        (live if any(row[:cols]) else vanished).append(list(row))
+    done, pivot_cols = [], []
+    for col in range(cols):
+        if not live:
+            break
         nonzero = [row for row in live if row[col] != 0]
         rest = [row for row in live if row[col] == 0]
-        if not nonzero:
-            m = rest + dead
-            col += 1
-            continue
         while len(nonzero) > 1:
             nonzero.sort(key=lambda row: abs(row[col]))
             base = nonzero[0]
@@ -353,20 +313,24 @@ def _hnf_rows_keep_zero(aug, cols):
                 new = [x - q * y for x, y in zip(row, base)]
                 (reduced if new[col] != 0 else rest).append(new)
             nonzero = reduced
-        pivot = nonzero[0]
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        done.append(pivot)
-        m = rest + dead
-        col += 1
-    tail = m
+        if nonzero:
+            pivot = nonzero[0]
+            done.append([-x for x in pivot] if pivot[col] < 0 else pivot)
+            pivot_cols.append(col)
+        # rows in rest are zero up to col, so only later columns can keep them live
+        live, emptied = [], []
+        for row in rest:
+            (live if any(row[col + 1 : cols]) else emptied).append(row)
+        vanished = emptied + vanished
+    # reduce entries above each pivot; ascending order keeps already-fixed
+    # pivot columns untouched (later rows are zero there)
     for i in range(1, len(done)):
-        pcol = next(j for j, x in enumerate(done[i][:cols]) if x != 0)
+        pcol = pivot_cols[i]
         for k in range(i):
             q = done[k][pcol] // done[i][pcol]
             if q:
                 done[k] = [x - q * y for x, y in zip(done[k], done[i])]
-    return done + tail
+    return done, vanished
 
 
 def row_span_solve(h, v):

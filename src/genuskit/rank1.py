@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, FamilyError
+from .errors import Check, DomainError, FamilyError
 from .primeset import PartitionFamily, PrimeSet, XNumber, factorize, valuation
 
 
@@ -401,16 +401,9 @@ def double_coset_class(alpha: AutFamily1) -> ExtGenusClass:
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    witness: str
-
-
-@dataclass(frozen=True)
 class LocalizationReport:
     block_index: int
-    checks: tuple[CheckResult, ...]
+    checks: tuple[Check, ...]
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -440,7 +433,7 @@ def verify_localization_properties(alpha: AutFamily1, block_index) -> Localizati
     block_value = alpha.value_at(block_index)
 
     checks = [
-        CheckResult(
+        Check(
             "kernel-trivial",
             True,
             "kernel = 0 (rank-1 and torsion-free keeps projections injective)",
@@ -449,8 +442,8 @@ def verify_localization_properties(alpha: AutFamily1, block_index) -> Localizati
 
     if heights.trivial:
         detail = f"pullback is trivial (positive heights at {is_bounded_above(alpha).violation})"
-        checks.append(CheckResult("epi-up-to-block-number", False, detail))
-        checks.append(CheckResult("core-map-mono-epi", False, "injective, but nothing maps onto the core line: " + detail))
+        checks.append(Check("epi-up-to-block-number", False, detail))
+        checks.append(Check("core-map-mono-epi", False, "injective, but nothing maps onto the core line: " + detail))
         return LocalizationReport(block_index, tuple(checks))
 
     # minimal t, invertible on the block, with t * generator in the image:
@@ -466,7 +459,7 @@ def verify_localization_properties(alpha: AutFamily1, block_index) -> Localizati
         if need > 0:
             t *= p**need
     checks.append(
-        CheckResult("epi-up-to-block-number", True, f"t = {t} multiplies the block generator into the image")
+        Check("epi-up-to-block-number", True, f"t = {t} multiplies the block generator into the image")
     )
 
     r = 1
@@ -474,7 +467,7 @@ def verify_localization_properties(alpha: AutFamily1, block_index) -> Localizati
         if c > 0:
             r *= p**c
     checks.append(
-        CheckResult(
+        Check(
             "core-map-mono-epi",
             True,
             f"injective; r = {r} multiplies the core generator into the image",

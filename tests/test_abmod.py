@@ -22,8 +22,14 @@ from genuskit.abmod import (
     xpart,
 )
 from genuskit.errors import DomainError, VerificationError
-from genuskit.intlinalg import hnf_rows, identity_matrix, lattice_contains
-from genuskit.primeset import PrimeSet, make_family
+from genuskit.intlinalg import (
+    hnf_rows,
+    identity_matrix,
+    invert_unimodular,
+    lattice_contains,
+    rational_row_solve,
+)
+from genuskit.primeset import PrimeSet, is_x_number, make_family
 from genuskit.rank1 import is_bounded, is_bounded_above, make_aut
 
 T23 = PrimeSet.finite([2, 3])
@@ -123,6 +129,76 @@ class TestNormalizedRows:
         basis = hnf_rows([list(r) for r in m.normalized_relation_rows()])
         for rel in m.relations:
             assert lattice_contains(basis, list(rel))
+
+
+class TestSmithCoordinates:
+    """Zero tests and normalized rows against their rational definition.
+
+    The oracle rows are Xpart(d_j) times the rows of the inverted right
+    Smith transform, and a row is zero when ``rational_row_solve`` writes it
+    over them with coefficients whose denominators are units of the ring.
+    """
+
+    @staticmethod
+    def oracle_rows(m):
+        if not m.relations:
+            return ()
+        data = m._snf_data()
+        rinv = invert_unimodular(data["right"])
+        return tuple(tuple(s * x for x in rinv[j]) for j, s in enumerate(data["stripped"]))
+
+    @staticmethod
+    def oracle_is_zero(m, rows, v):
+        v = [Fraction(x) for x in v]
+        if not any(v):
+            return True
+        if not rows:
+            return False
+        coeffs = rational_row_solve([list(r) for r in rows], v)
+        return coeffs is not None and all(is_x_number(c.denominator, m.primes) for c in coeffs)
+
+    def test_matches_rational_oracle(self):
+        rng = random.Random(1729)
+        small = [2, 3, 5, 7, 11]
+        outcomes = {True: 0, False: 0}
+        kinds = set()
+        for _ in range(300):
+            kind = rng.choice(["finite", "cofinite", "empty"])
+            kinds.add(kind)
+            members = rng.sample(small, rng.randint(1, 3))
+            primes = {
+                "finite": PrimeSet.finite(members),
+                "cofinite": PrimeSet.all_except(members),
+                "empty": EMPTY,
+            }[kind]
+            n = rng.randint(1, 4)
+            rels = []
+            for _ in range(rng.randint(0, 4)):
+                row = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(n)]
+                scale = rng.choice([1, 1, 2, 4, 3, 5, 6, 7, 12])
+                rels.append([scale * x for x in row])
+            m = FGModule(primes, rels, n)
+            rows = self.oracle_rows(m)
+            assert m.normalized_relation_rows() == rows
+
+            def frac():
+                return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 11, 13, 35]))
+
+            probes = [
+                [0] * n,
+                [rng.randint(-6, 6) for _ in range(n)],
+                [frac() for _ in range(n)],
+            ]
+            for basis in (m.relations, rows):
+                if basis:
+                    coeffs = [frac() for _ in basis]
+                    probes.append([sum(c * r[j] for c, r in zip(coeffs, basis)) for j in range(n)])
+            for v in probes:
+                expected = self.oracle_is_zero(m, rows, v)
+                assert m.element_is_zero(v) == expected, (m, v)
+                outcomes[expected] += 1
+        assert kinds == {"finite", "cofinite", "empty"}
+        assert min(outcomes.values()) > 150, outcomes
 
 
 class TestModuleMap:

@@ -157,6 +157,33 @@ class TestHermite:
             assert all(all(x == 0 for x in row) for row in prod[len(h) :])
             assert abs(mat_det(u)) == 1
 
+    def test_transform_form_matches_plain_form(self):
+        # Both entry points run the same elimination; the transform's form must
+        # be the plain form, also with zero rows, zero columns and empty input.
+        assert hnf_with_transform([]) == ([], [])
+        a = [[0, 0, 0], [0, 2, 4], [0, 0, 0], [0, 3, 6]]
+        assert hnf_with_transform(a)[0] == hnf_rows(a) == [[0, 1, 2]]
+        rng = random.Random(61)
+        for _ in range(400):
+            rows, cols = rng.randint(0, 6), rng.randint(1, 6)
+            a = [[rng.choice([0, 0, rng.randint(-12, 12)]) for _ in range(cols)] for _ in range(rows)]
+            if rows and rng.random() < 0.4:
+                a[rng.randrange(rows)] = [0] * cols
+            if rng.random() < 0.4:
+                j = rng.randrange(cols)
+                for row in a:
+                    row[j] = 0
+            if rows and rng.random() < 0.3:
+                a.append([rng.choice([-2, 3]) * x for x in a[0]])
+            h, u = hnf_with_transform(a)
+            assert h == hnf_rows(a)
+            assert len(u) == len(a)
+            prod = mat_mul(u, a)
+            assert prod[: len(h)] == h
+            assert not any(any(row) for row in prod[len(h) :])
+            if a:
+                assert abs(mat_det(u)) == 1
+
     def test_row_span_solve(self):
         h = hnf_rows([[2, 0, 1], [0, 3, 1]])
         assert row_span_solve(h, [2, 3, 2]) == [1, 1]
