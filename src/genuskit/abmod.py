@@ -40,18 +40,15 @@ from .intlinalg import (
     row_vec_mul,
     smith_normal_form,
 )
-from .primeset import PartitionFamily, PrimeSet, XNumber, factorize, is_x_number, valuation
-
-
-def xpart(n: int, X: PrimeSet) -> int:
-    """The largest divisor of n supported entirely on the primes of X."""
-    if n == 0:
-        raise ValueError("0 has no X-part")
-    out = 1
-    for p, e in factorize(abs(n)).items():
-        if X._contains_known_prime(p):
-            out *= p**e
-    return out
+from .primeset import (
+    PartitionFamily,
+    PrimeSet,
+    XNumber,
+    factorize,
+    is_x_number,
+    valuation,
+    xpart,
+)
 
 
 def _as_fraction_rows(rows, width=None):

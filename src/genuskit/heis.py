@@ -13,6 +13,11 @@ generators.  Membership then splits into an integer lattice solve for the
 projection and a divisibility test against the cyclic central lattice,
 and positive answers carry a word certificate that re-multiplies to the
 queried element.
+
+Power nodes in a certificate hold their sub-words by reference, so
+certificates share sub-words, and ``evaluate_word`` replays each distinct
+sub-word once: replay is linear in the number of distinct sub-words rather
+than in the size of the expanded tree.
 """
 
 from __future__ import annotations
@@ -89,7 +94,11 @@ def commutator(x: HeisElement, y: HeisElement) -> HeisElement:
     return x.inverse() * y.inverse() * x * y
 
 
-Word = tuple  # of (generator index, exponent) leaves and ("pow", word, n) nodes
+# A word is a tuple of (generator index, exponent) leaves and ("pow", word, n)
+# nodes.  Power nodes hold their sub-word by reference, so words built from
+# one another share sub-tuples and form a DAG whose expanded tree can be far
+# larger than the number of distinct tuples in it.
+Word = tuple
 
 
 def _word_pow(word: Word, n: int) -> Word:
@@ -104,15 +113,31 @@ def _word_pow(word: Word, n: int) -> Word:
 
 
 def evaluate_word(generators, word: Word, primes: PrimeSet) -> HeisElement:
-    out = HeisElement.identity(primes)
-    for item in word:
-        if item[0] == "pow":
-            _, sub, n = item
-            out = out * (evaluate_word(generators, sub, primes) ** n)
-        else:
-            idx, exp = item
-            out = out * (generators[idx] ** exp)
-    return out
+    """Multiply a word out, evaluating each distinct sub-word once.
+
+    Every tuple reachable from ``word`` stays alive during the call, so
+    ``id`` identifies sub-words uniquely.  Keying by the tuple itself would
+    hash it, and tuple hashes are not cached, so each lookup would walk the
+    expanded tree again.
+    """
+    memo: dict[int, HeisElement] = {}
+
+    def walk(w: Word) -> HeisElement:
+        done = memo.get(id(w))
+        if done is not None:
+            return done
+        out = HeisElement.identity(primes)
+        for item in w:
+            if item[0] == "pow":
+                _, sub, n = item
+                out = out * (walk(sub) ** n)
+            else:
+                idx, exp = item
+                out = out * (generators[idx] ** exp)
+        memo[id(w)] = out
+        return out
+
+    return walk(word)
 
 
 @dataclass(frozen=True)
@@ -214,8 +239,11 @@ class HeisSubgroup:
         self._rows = [rows[i] for i in range(r)]
         self._basis = [lifts[i] for i in range(r)]
         central = [lifts[i] for i in range(r, len(rows))]
-        for lift in central:
-            assert lift.element.is_central
+        for i, lift in enumerate(central, start=r):
+            if not lift.element.is_central:
+                raise VerificationError(
+                    f"lift {i} ({lift.element}) left the staircase with a nonzero projection"
+                )
 
         center_gens = [(lift.element.c, lift.word) for lift in central if lift.element.c != 0]
         if r == 2:
@@ -337,10 +365,14 @@ def lower_central_series(h: HeisSubgroup):
         gamma = HeisSubgroup(h.primes, comms)
         series.append(gamma)
         # every commutator is central, so the next step collapses
-        for g in gamma.generators:
-            assert g.is_central
+        for i, g in enumerate(gamma.generators):
+            if not g.is_central:
+                raise VerificationError(f"commutator generator {i} ({g}) is not central")
     series.append(HeisSubgroup(h.primes, ()))
-    assert len(series) <= 3
+    if len(series) > 3:
+        raise VerificationError(
+            f"lower central series of {h} has {len(series)} terms, class 2 allows 3"
+        )
     return series
 
 
@@ -511,7 +543,8 @@ def localize_subgroup(
             root = HeisElement(sub, a, b, c)
         except ValueError:
             continue  # the exact root needs a denominator the core still sees
-        assert root**u == g
+        if root**u != g:
+            raise VerificationError(f"sampled root {root} does not raise to {g} at the power {u}")
         t = minimal_power_into(local, root, u)
         checks.append(
             Check(

@@ -308,18 +308,40 @@ def set_algebra(op: str, a: PrimeSet, b: PrimeSet) -> PrimeSet:
     return _SET_OPS[op](a, b)
 
 
+def _split_off(n: int, primes) -> tuple[int, int]:
+    """(part, rest) with n == part * rest, where part is supported on
+    ``primes`` and rest is prime to each of them; n is positive."""
+    part = 1
+    for p in primes:
+        while n % p == 0:
+            n //= p
+            part *= p
+    return part, n
+
+
 def is_x_number(n: int, avoided: PrimeSet) -> bool:
     """True when n >= 1 and no prime factor of n lies in ``avoided``.
 
     Such integers act invertibly on groups local to ``avoided``.  Zero is
-    rejected rather than classified.
+    rejected rather than classified.  Only division by the finite member
+    list is needed, so n may be of any size.
 
     >>> is_x_number(35, PrimeSet.all_except([5, 7]))
     True
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"X-numbers are positive integers, got {n!r}")
-    return all(not avoided._contains_known_prime(p) for p in factorize(n))
+    if avoided.cofinite:
+        return _split_off(n, avoided.members)[1] == 1
+    return all(n % p for p in avoided.members)
+
+
+def xpart(n: int, X: PrimeSet) -> int:
+    """The largest divisor of n supported entirely on the primes of X."""
+    if n == 0:
+        raise ValueError("0 has no X-part")
+    part, rest = _split_off(abs(n), X.members)
+    return rest if X.cofinite else part
 
 
 @dataclass(frozen=True)

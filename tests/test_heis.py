@@ -92,6 +92,35 @@ def doubled():
     return HeisSubgroup(ALL_PRIMES, [el(2, 0, 0), el(0, 2, 0)])
 
 
+class TestEvaluateWord:
+    def test_shared_subwords_are_replayed_once(self, monkeypatch):
+        g = el(1, 2, 3)
+        k = 12
+        word = ((0, 1),)
+        for _ in range(k):
+            word = (("pow", word, 2), ("pow", word, -1))
+        calls = 0
+        multiply = HeisElement.__mul__
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return multiply(self, other)
+
+        monkeypatch.setattr(HeisElement, "__mul__", counting)
+        assert evaluate_word([g], word, ALL_PRIMES) == g
+        assert calls <= 3 * (k + 1)
+
+    def test_mixed_leaves_and_powers(self):
+        gens = [el(1, 0, 2), el(0, 1, -1)]
+        inner = ((0, 2), (1, -1))
+        word = (("pow", inner, 3), (1, 2), ("pow", inner, -1))
+        x, y = gens
+        expected = (x**2 * y.inverse()) ** 3 * y**2 * (x**2 * y.inverse()).inverse()
+        assert evaluate_word(gens, word, ALL_PRIMES) == expected
+        assert evaluate_word(gens, (), ALL_PRIMES) == HeisElement.identity(ALL_PRIMES)
+
+
 class TestSubgroup:
     def test_center_of_the_doubled_subgroup(self):
         h = doubled()
@@ -151,6 +180,21 @@ class TestSubgroup:
             cert = h.membership(g)
             assert cert
             assert evaluate_word(gens, cert.word, T23) == g
+
+    def test_large_entries_construct_and_replay(self):
+        rng = random.Random(41)
+
+        def near_million():
+            return Fraction(rng.choice([-1, 1]) * rng.randint(5 * 10**5, 2 * 10**6))
+
+        for primes in (ALL_PRIMES, T23):
+            gens = [HeisElement(primes, near_million(), near_million(), near_million())
+                    for _ in range(3)]
+            h = HeisSubgroup(primes, gens)
+            g = gens[0] * gens[1] * gens[2]
+            cert = h.membership(g)
+            assert cert
+            assert evaluate_word(gens, cert.word, primes) == g
 
     def test_constructed_central_escapees_are_rejected(self):
         rng = random.Random(22)

@@ -16,6 +16,7 @@ from genuskit.primeset import (
     make_family,
     next_prime,
     set_algebra,
+    xpart,
 )
 
 from conftest import PRIMES_BELOW_100, random_prime_set
@@ -179,6 +180,37 @@ class TestXNumbers:
             x = random_prime_set(rng)
             a, b = rng.randint(1, 5000), rng.randint(1, 5000)
             assert is_x_number(a * b, x) == (is_x_number(a, x) and is_x_number(b, x))
+
+    def test_matches_the_factorize_definition(self):
+        def is_x_oracle(n, x):
+            return all(not x._contains_known_prime(p) for p in factorize(n))
+
+        def xpart_oracle(n, x):
+            out = 1
+            for p, e in factorize(abs(n)).items():
+                if x._contains_known_prime(p):
+                    out *= p**e
+            return out
+
+        rng = random.Random(23)
+        fixed = [EMPTY_SET, ALL_PRIMES, PrimeSet.finite([2]), PrimeSet.all_except([2])]
+        for i in range(3000):
+            x = fixed[i % 4] if i < 400 else random_prime_set(rng, max_size=6)
+            n = rng.randint(1, 10**6)
+            for _ in range(rng.randint(0, 4)):
+                n *= rng.choice(PRIMES_BELOW_100) ** rng.randint(1, 5)
+            assert is_x_number(n, x) == is_x_oracle(n, x), (n, x)
+            assert xpart(n, x) == xpart_oracle(n, x), (n, x)
+            assert xpart(-n, x) == xpart_oracle(n, x), (-n, x)
+
+    def test_inputs_beyond_the_primality_limit(self):
+        p, q = 2**61 - 1, 2**89 - 1
+        assert is_x_number(p * q, PrimeSet.finite([2, 3]))
+        assert not is_x_number(6 * q, PrimeSet.finite([2, 3]))
+        assert is_x_number(p**3, PrimeSet.all_except([p]))
+        assert not is_x_number(p * q, PrimeSet.all_except([p]))
+        assert xpart(-12 * q, PrimeSet.finite([2, 3])) == 12
+        assert xpart(12 * q, PrimeSet.all_except([2, 3])) == q
 
     def test_certificate_type(self):
         n = XNumber(9, PrimeSet.finite([2, 5]))
