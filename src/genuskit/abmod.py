@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import Check, DomainError, VerificationError
 from .intlinalg import (
@@ -58,6 +58,13 @@ def _as_fraction_rows(rows, width=None):
             if len(row) != width:
                 raise ValueError(f"expected rows of width {width}, got {len(row)}")
     return out
+
+
+def _scaled_matrix(rows) -> tuple:
+    """(num, den) for rows of Fractions: the least den making ``rows * den``
+    integral, and those integer rows."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
 
 
 class FGModule:
@@ -121,18 +128,26 @@ class FGModule:
                 diag = [d[i][i] for i in range(min(len(d), self.ngens))]
             else:
                 left, right, diag = [], identity_matrix(self.ngens), []
-            rank = sum(1 for x in diag if x != 0)
-            stripped = [xpart(x, self.primes) for x in diag[:rank]]
-            units = [diag[i] // stripped[i] for i in range(rank)]
-            self._snf = {
-                "diag": diag,
-                "left": left,
-                "right": right,
-                "rank": rank,
-                "stripped": stripped,
-                "units": units,
-            }
+            self._strip(diag, left, right)
         return self._snf
+
+    def _strip(self, diag, left, right):
+        """Cache Smith data L A R = D, splitting each d_j over this ring.
+
+        ``stripped`` holds Xpart(d_j) and ``units`` the invertible rest; the
+        transforms depend only on the relations, so they can be shared
+        between presentations of the same relations over other prime sets.
+        """
+        rank = sum(1 for x in diag if x != 0)
+        stripped = [xpart(x, self.primes) for x in diag[:rank]]
+        self._snf = {
+            "diag": diag,
+            "left": left,
+            "right": right,
+            "rank": rank,
+            "stripped": stripped,
+            "units": [diag[i] // stripped[i] for i in range(rank)],
+        }
 
     @property
     def invariants(self) -> tuple[int, ...]:
@@ -174,17 +189,19 @@ class FGModule:
         return self._normalized
 
     def element_is_zero(self, row) -> bool:
-        """Is this coefficient row the zero element of the module?
+        """Is this coefficient row the zero element of the module?"""
+        (v,), den = _scaled_matrix(_as_fraction_rows([row]))
+        return self._scaled_is_zero(v, den)
+
+    def _scaled_is_zero(self, v, den: int) -> bool:
+        """Is the integer row v divided by the positive den zero here?
 
         Decided in Smith coordinates.  With L A R = D cached, write
-        y = v R for the row v: v lies in the rational relation span exactly
-        when y_j = 0 past the rank, and then y_j / Xpart(d_j) is its
-        coefficient on normalized row j.  The row is zero when every such
+        y = v R: v lies in the rational relation span exactly when y_j = 0
+        past the rank, and then y_j / (den Xpart(d_j)) is the coefficient of
+        v / den on normalized row j.  The element is zero when every such
         coefficient has a denominator invertible over this ring.
         """
-        row = [Fraction(x) for x in row]
-        clear = lcm(*(x.denominator for x in row))
-        v = [x.numerator * (clear // x.denominator) for x in row]
         if not any(v):
             return True
         data = self._snf_data()
@@ -192,17 +209,23 @@ class FGModule:
         if any(y[data["rank"] :]):
             return False
         for y_j, s_j in zip(y, data["stripped"]):
-            den = s_j * clear // gcd(y_j, s_j * clear)
-            if den != 1 and not is_x_number(den, self.primes):
+            d = s_j * den // gcd(y_j, s_j * den)
+            if d != 1 and not is_x_number(d, self.primes):
                 return False
         return True
 
     def localize(self, sub: PrimeSet):
-        """Same presentation over a smaller prime set, with the unit map."""
+        """Same presentation over a smaller prime set, with the unit map.
+
+        The relations do not change, so the target reuses this module's
+        Smith transforms and only re-splits the diagonal over ``sub``.
+        """
         if not sub.issubset(self.primes):
             raise ValueError(f"{sub} is not contained in {self.primes}")
         target = FGModule(sub, self.relations, self.ngens)
-        return target, ModuleMap(self, target, identity_matrix(self.ngens))
+        data = self._snf_data()
+        target._strip(data["diag"], data["left"], data["right"])
+        return target, ModuleMap._from_scaled(self, target, identity_matrix(self.ngens), 1)
 
     def __str__(self) -> str:
         rel = "[" + ",".join("[" + ",".join(str(x) for x in row) + "]" for row in self.relations) + "]"
@@ -220,6 +243,11 @@ class ModuleMap:
     denominators invertible in the target ring, and every source relation
     must land in the target's relation span over that ring; both are
     checked at construction.
+
+    The map is kept as integer numerators ``num`` over one positive
+    denominator ``den``, reduced so that ``den`` and the entries have no
+    common factor, and checks and compositions run in integers.  ``rows`` is the same
+    matrix over ``Fraction``, built on first use.
     """
 
     def __init__(self, source: FGModule, target: FGModule, rows):
@@ -227,18 +255,42 @@ class ModuleMap:
             raise ValueError(
                 f"target over {target.primes} is not reachable from source over {source.primes}"
             )
+        rows = _as_fraction_rows(rows, target.ngens)
+        if len(rows) != source.ngens:
+            raise ValueError(f"expected {source.ngens} rows, got {len(rows)}")
+        self._rows = rows
+        self._certify(source, target, *_scaled_matrix(rows))
+
+    @classmethod
+    def _from_scaled(cls, source: FGModule, target: FGModule, num, den: int) -> "ModuleMap":
+        """The map ``num / den``, for callers that already hold a
+        well-shaped integer matrix between reachable modules."""
+        g = gcd(den, *(x for row in num for x in row))
+        num = tuple(tuple(x // g for x in row) for row in num)
+        self = cls.__new__(cls)
+        self._rows = None
+        self._certify(source, target, num, den // g)
+        return self
+
+    def _certify(self, source: FGModule, target: FGModule, num, den: int) -> None:
         self.source = source
         self.target = target
-        self.rows = _as_fraction_rows(rows, target.ngens)
-        if len(self.rows) != source.ngens:
-            raise ValueError(f"expected {source.ngens} rows, got {len(self.rows)}")
-        for row in self.rows:
-            for x in row:
-                if not is_x_number(x.denominator, target.primes):
-                    raise ValueError(f"denominator of {x} is not invertible in the target ring")
-        for rel, image in zip(source.relations, mat_mul(source.relations, self.rows)):
-            if not target.element_is_zero(image):
+        self.num = num
+        self.den = den
+        if den != 1 and not is_x_number(den, target.primes):
+            for row in self.rows:
+                for x in row:
+                    if not is_x_number(x.denominator, target.primes):
+                        raise ValueError(f"denominator of {x} is not invertible in the target ring")
+        for rel, image in zip(source.relations, mat_mul(source.relations, num)):
+            if not target._scaled_is_zero(image, den):
                 raise ValueError(f"relation {rel} does not map to zero in the target")
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
+        return self._rows
 
     def apply_row(self, v):
         return row_vec_mul(v, self.rows)
@@ -247,21 +299,22 @@ class ModuleMap:
         """The map ``x -> then(self(x))``."""
         if then.source != self.target:
             raise ValueError("maps do not chain: target and source presentations differ")
-        rows = mat_mul([list(r) for r in self.rows], [list(r) for r in then.rows])
-        return ModuleMap(self.source, then.target, rows)
+        num = mat_mul(self.num, then.num)
+        return ModuleMap._from_scaled(self.source, then.target, num, self.den * then.den)
 
     def is_zero_map(self) -> bool:
-        return all(self.target.element_is_zero(row) for row in self.rows)
+        return all(self.target._scaled_is_zero(row, self.den) for row in self.num)
 
     def equal_map(self, other: "ModuleMap") -> bool:
         """Equality as homomorphisms, i.e. entrywise modulo target relations."""
         if self.source != other.source or self.target != other.target:
             return False
-        diff = [
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.rows, other.rows)
-        ]
-        return all(self.target.element_is_zero(row) for row in diff)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return all(
+            self.target._scaled_is_zero([sa * a - sb * b for a, b in zip(ra, rb)], den)
+            for ra, rb in zip(self.num, other.num)
+        )
 
     def __str__(self) -> str:
         return f"map({self.source} -> {self.target})"
@@ -270,7 +323,7 @@ class ModuleMap:
 
 
 def identity_map(module: FGModule) -> ModuleMap:
-    return ModuleMap(module, module, identity_matrix(module.ngens))
+    return ModuleMap._from_scaled(module, module, identity_matrix(module.ngens), 1)
 
 
 @dataclass
@@ -289,13 +342,15 @@ def _offsets(widths):
     return offsets, total
 
 
-def _clearing_lcm(blocks) -> int:
-    d = 1
-    for matrix in blocks.values():
-        for row in matrix:
-            for x in row:
-                d = lcm(d, Fraction(x).denominator)
-    return d
+def _valuations(n: int, primes: PrimeSet) -> dict:
+    """``{p: e}`` with e = v_p(n) > 0, over the primes of ``primes``.
+
+    A finite set needs only division by its members; a cofinite one needs
+    the factorization of n.
+    """
+    if primes.cofinite:
+        return {p: e for p, e in factorize(n).items() if primes._contains_known_prime(p)}
+    return {p: valuation(n, p) for p in primes.members if n % p == 0}
 
 
 def mixed_kernel(sources, targets, blocks, extra_active: int = 1) -> MixedKernel:
@@ -317,7 +372,7 @@ def mixed_kernel(sources, targets, blocks, extra_active: int = 1) -> MixedKernel
     union = PrimeSet.finite([])
     for m in sources:
         union = union | m.primes
-    checked = {}
+    scaled = {}
     for (j, t), matrix in blocks.items():
         if not targets[t].primes.issubset(sources[j].primes):
             raise ValueError(
@@ -327,24 +382,24 @@ def mixed_kernel(sources, targets, blocks, extra_active: int = 1) -> MixedKernel
         matrix = _as_fraction_rows(matrix, targets[t].ngens)
         if len(matrix) != sources[j].ngens:
             raise ValueError(f"block ({j},{t}) has the wrong number of rows")
-        checked[(j, t)] = matrix
-    blocks = checked
+        scaled[(j, t)] = _scaled_matrix(matrix)
+    d_clear = lcm(*(den for _, den in scaled.values()))
 
-    d_clear = _clearing_lcm(blocks)
-    prod_elem = 1
+    # The level is one deeper, at each union prime, than the product of the
+    # clearing lcm, every nonzero Smith diagonal entry and extra_active;
+    # each of them is factored on its own.
+    pieces = [d_clear]
     for m in list(sources) + list(targets):
-        for x in m._snf_data()["diag"]:
-            if x != 0:
-                prod_elem *= abs(x)
-
-    base = d_clear * prod_elem * abs(extra_active)
-    active = sorted(p for p in factorize(base) if union._contains_known_prime(p))
-    w = 1
-    for p in active:
-        w *= p ** (valuation(base, p) + 1)
-    deepen = 1
-    for p in active:
-        deepen *= p
+        pieces.extend(abs(x) for x in m._snf_data()["diag"] if x != 0)
+    base = {}
+    for n in pieces + [abs(extra_active)]:
+        for p, e in _valuations(n, union).items():
+            base[p] = base.get(p, 0) + e
+    w = prod(p ** (e + 1) for p, e in base.items())
+    deepen = prod(base)
+    # the part of those pieces outside each target's primes, fixed across levels
+    cleared = prod(pieces)
+    outside = [cleared // xpart(cleared, t.primes) for t in targets]
 
     offsets, total = _offsets(m.ngens for m in sources)
 
@@ -352,18 +407,16 @@ def mixed_kernel(sources, targets, blocks, extra_active: int = 1) -> MixedKernel
     # for one element differ between levels by invertible rescalings, so the
     # comparison has to happen modulo the deeper level's zero lattice.
     def at_level(level):
-        return _kernel_at_level(
-            sources, targets, blocks, d_clear, prod_elem, union, level, offsets, total
-        )
+        return _kernel_at_level(sources, targets, scaled, d_clear, outside, level, offsets, total)
 
     result = at_level(w)
     for _ in range(8):
         if deepen == 1:
             break
         deeper = at_level(w * deepen)
-        scaled = [[x * deepen for x in row] for row in result]
-        lam_deep = _zero_lattice_rows(sources, union, w * deepen, offsets, total)
-        if lattice_equal(scaled + lam_deep, deeper):
+        rescaled = [[x * deepen for x in row] for row in result]
+        lam_deep = _zero_lattice_rows(sources, w * deepen, offsets, total)
+        if lattice_equal(rescaled + lam_deep, deeper):
             break
         w *= deepen
         result = deeper
@@ -371,35 +424,34 @@ def mixed_kernel(sources, targets, blocks, extra_active: int = 1) -> MixedKernel
         raise RuntimeError("kernel lattice failed to stabilize; presentation too deep")
 
     b_sum = result
-    lam_rows = _zero_lattice_rows(sources, union, w, offsets, total)
-    relations = [row_span_solve(b_sum, lam) for lam in lam_rows]
-    assert all(r is not None for r in relations), "zero lattice escaped the generator span"
+    lam_rows = _zero_lattice_rows(sources, w, offsets, total)
+    owners = [(j, r) for j, m in enumerate(sources) for r in range(len(m.normalized_relation_rows()))]
+    relations = []
+    for (j, r), lam in zip(owners, lam_rows):
+        coords = row_span_solve(b_sum, lam)
+        if coords is None:
+            raise VerificationError(
+                f"normalized relation {r} of source {j} escaped the kernel's "
+                f"generator span at level {w}"
+            )
+        relations.append(coords)
     kernel = FGModule(union, relations, len(b_sum))
 
-    inclusions = []
-    for j, m in enumerate(sources):
-        rows = [
-            [Fraction(row[offsets[j] + c], w) for c in range(m.ngens)]
-            for row in b_sum
-        ]
-        inclusions.append(ModuleMap(kernel, m, rows))
+    inclusions = [
+        ModuleMap._from_scaled(
+            kernel, m, [row[offsets[j] : offsets[j] + m.ngens] for row in b_sum], w
+        )
+        for j, m in enumerate(sources)
+    ]
     return MixedKernel(kernel, inclusions, w)
 
 
-def _level_parts(union: PrimeSet, inside: PrimeSet, w: int) -> int:
-    """The part of w supported on union-but-not-inside primes."""
-    out = 1
-    for p, e in factorize(w).items():
-        if union._contains_known_prime(p) and not inside._contains_known_prime(p):
-            out *= p**e
-    return out
-
-
-def _zero_lattice_rows(sources, union, w, offsets, total):
+def _zero_lattice_rows(sources, w, offsets, total):
+    """Each source's normalized relations at level w, scaled by the part of
+    w on the source's own primes and placed at the source's offset."""
     rows = []
     for j, m in enumerate(sources):
-        w_j = _level_parts(union, m.primes, w)
-        scale = w // w_j
+        scale = xpart(w, m.primes)
         for nb in m.normalized_relation_rows():
             row = [0] * total
             for c, x in enumerate(nb):
@@ -408,45 +460,44 @@ def _zero_lattice_rows(sources, union, w, offsets, total):
     return rows
 
 
-def _kernel_at_level(sources, targets, blocks, d_clear, prod_elem, union, w, offsets, total_v):
+def _kernel_at_level(sources, targets, blocks, d_clear, outside, w, offsets, total_v):
     aux_bases = [t.normalized_relation_rows() for t in targets]
     aux_offsets, total_aux = _offsets(len(rows) for rows in aux_bases)
     col_offsets, total_cols = _offsets(t.ngens for t in targets)
     eq = [[0] * total_cols for _ in range(total_v + total_aux)]
+    # w / w_j: the part of the level on source j's own primes
+    inside = [xpart(w, m.primes) for m in sources]
 
     for t_idx, t in enumerate(targets):
-        non_target = w * d_clear * prod_elem
-        w_yt = 1
-        for p, e in factorize(non_target).items():
-            if not t.primes._contains_known_prime(p):
-                w_yt *= p**e
+        w_yt = (w // xpart(w, t.primes)) * outside[t_idx]
+        base = col_offsets[t_idx]
         for j, m in enumerate(sources):
-            matrix = blocks.get((j, t_idx))
-            if matrix is None:
+            block = blocks.get((j, t_idx))
+            if block is None:
                 continue
-            w_j = _level_parts(union, m.primes, w)
-            scale = (w // w_j) * w_yt * d_clear
-            for r in range(m.ngens):
-                for c in range(t.ngens):
-                    x = matrix[r][c] * scale
-                    assert x.denominator == 1
-                    eq[offsets[j] + r][col_offsets[t_idx] + c] += int(x)
+            num, den = block
+            scale, rem = divmod(inside[j] * w_yt * d_clear, den)
+            if rem:
+                raise VerificationError(
+                    f"block ({j},{t_idx}) keeps denominator {den} at level {w}"
+                )
+            for r, row in enumerate(num):
+                eq_row = eq[offsets[j] + r]
+                for c, x in enumerate(row):
+                    eq_row[base + c] += x * scale
         for r, nb in enumerate(aux_bases[t_idx]):
             for c, x in enumerate(nb):
-                eq[total_v + aux_offsets[t_idx] + r][col_offsets[t_idx] + c] = -w * d_clear * x
+                eq[total_v + aux_offsets[t_idx] + r][base + c] = -w * d_clear * x
 
-    kernel_rows = left_kernel_basis(eq)
     gen_rows = []
-    for krow in kernel_rows:
+    for krow in left_kernel_basis(eq):
         row = [0] * total_v
         for j, m in enumerate(sources):
-            w_j = _level_parts(union, m.primes, w)
-            scale = w // w_j
-            for c in range(m.ngens):
-                row[offsets[j] + c] = krow[offsets[j] + c] * scale
+            for c in range(offsets[j], offsets[j] + m.ngens):
+                row[c] = krow[c] * inside[j]
         gen_rows.append(row)
 
-    lam = _zero_lattice_rows(sources, union, w, offsets, total_v)
+    lam = _zero_lattice_rows(sources, w, offsets, total_v)
     return hnf_rows(gen_rows + lam)
 
 
@@ -499,12 +550,7 @@ def is_localization(f: ModuleMap, at: PrimeSet) -> LocalizationDecision:
 
 def _cokernel_killed(f: ModuleMap, at: PrimeSet):
     target = f.target
-    lam = 1
-    for row in f.rows:
-        for x in row:
-            lam = lcm(lam, x.denominator)
-    cleared = [[int(x * lam) for x in row] for row in f.rows]
-    coker = FGModule(target.primes, list(target.relations) + cleared, target.ngens)
+    coker = FGModule(target.primes, list(target.relations) + list(f.num), target.ngens)
     data = coker._snf_data()
     diag, rank, right = data["diag"], data["rank"], data["right"]
 
@@ -701,13 +747,7 @@ def pullback(square: FractureSquare, twists) -> PullbackData:
     for i, matrix in zip(indices, twists):
         forward, inverse, det = _validate_twist(core, matrix, S)
         autos[i] = (forward, inverse)
-        for row in inverse.rows:
-            for x in row:
-                extra = lcm(extra, x.denominator)
-        for row in forward.rows:
-            for x in row:
-                extra = lcm(extra, x.denominator)
-        extra *= abs(det.numerator) * det.denominator
+        extra = lcm(extra, inverse.den, forward.den) * abs(det.numerator) * det.denominator
 
     sources = [core] + [square.local_modules[i] for i in indices]
     targets = [core for _ in indices]
@@ -783,18 +823,19 @@ def _stack_generator_rows(data: PullbackData):
     indices = data.square.block_indices
     sources = [data.square.core] + [data.square.local_modules[i] for i in indices]
     legs = [data.to_core] + [data.projections[i] for i in indices]
-    gen_rows = []
-    for g in range(data.module.ngens):
-        row = []
-        for leg in legs:
-            for x in leg.rows[g]:
-                scaled = Fraction(x) * w
-                assert scaled.denominator == 1
-                row.append(int(scaled))
-        gen_rows.append(row)
+    names = ["the core leg"] + [f"the leg to block {i}" for i in indices]
+    scales = []
+    for leg, name in zip(legs, names):
+        scale, rem = divmod(w, leg.den)
+        if rem:
+            raise VerificationError(f"{name} has denominator {leg.den}, not dividing the level {w}")
+        scales.append(scale)
+    gen_rows = [
+        [x * scale for leg, scale in zip(legs, scales) for x in leg.num[g]]
+        for g in range(data.module.ngens)
+    ]
     offsets, total = _offsets(m.ngens for m in sources)
-    lam = _zero_lattice_rows(sources, data.module.primes, w, offsets, total)
-    return gen_rows + lam
+    return gen_rows + _zero_lattice_rows(sources, w, offsets, total)
 
 
 def is_bounded_above_matrix(square: FractureSquare, twists) -> XNumber:
@@ -873,7 +914,11 @@ def _canonical_iso(a: FGModule, b: FGModule) -> ModuleMap:
         return torsion + free
 
     live_a, live_b = live_positions(a, da), live_positions(b, db)
-    assert len(live_a) == len(live_b), "iso classes were checked before pairing"
+    if len(live_a) != len(live_b):
+        raise VerificationError(
+            f"cannot pair generators: {a} has {len(live_a)} nontrivial diagonal "
+            f"coordinates, {b} has {len(live_b)}"
+        )
 
     can_a = [list(row) for row in ra]
     for j in range(da["rank"]):

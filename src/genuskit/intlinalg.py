@@ -257,14 +257,12 @@ def snf_diagonal(a) -> list[int]:
 def left_kernel_basis(a):
     """Basis rows for {v integer row : v @ a == 0}.
 
-    Taken from the left transform of the Smith form: rows of L paired with
-    zero rows of D span the kernel saturatedly.
+    Read off the Hermite transform: with U a == H padded by zero rows, the
+    rows of U that produce the zero rows span the kernel saturatedly, since
+    U is unimodular and the rows of H are independent.
     """
-    d, left, _ = smith_normal_form(a)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
-    return [left[i] for i in range(rank, rows)]
+    h, u = hnf_with_transform(a)
+    return u[len(h) :]
 
 
 def hnf_rows(a):

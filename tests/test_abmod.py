@@ -1,11 +1,14 @@
 """Module presentations, mixed kernels, fracture squares, pullbacks, genus."""
 
+import dataclasses
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from conftest import PRIMES_BELOW_100
+import genuskit.abmod as abmod
 from genuskit.abmod import (
     FGModule,
     ModuleMap,
@@ -93,6 +96,33 @@ class TestFGModule:
         assert unit.rows == ((Fraction(1),),)
         with pytest.raises(ValueError):
             m.localize(PrimeSet.finite([7]))
+
+    def test_localize_reuses_the_smith_form(self, monkeypatch):
+        rng = random.Random(61)
+        cases = []
+        for primes, subs in (
+            (T235, [PrimeSet.finite([2]), PrimeSet.finite([3, 5]), EMPTY]),
+            (PrimeSet.all_except([]), [PrimeSet.all_except([2]), PrimeSet.finite([3]), EMPTY]),
+        ):
+            for _ in range(6):
+                n = rng.randint(1, 3)
+                rels = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+                for sub in subs:
+                    cases.append((FGModule(primes, rels, n), sub))
+        fresh = {}
+        for m, sub in cases:
+            direct = FGModule(sub, m.relations, m.ngens)
+            fresh[(m, sub)] = (direct._snf_data(), direct.normalized_relation_rows())
+            m._snf_data()
+
+        calls = []
+        real = abmod.smith_normal_form
+        monkeypatch.setattr(abmod, "smith_normal_form", lambda a: calls.append(a) or real(a))
+        for m, sub in cases:
+            local, unit = m.localize(sub)
+            assert (local._snf_data(), local.normalized_relation_rows()) == fresh[(m, sub)]
+            assert unit.num == tuple(map(tuple, identity_matrix(m.ngens))) and unit.den == 1
+        assert calls == []
 
     def test_element_is_zero(self):
         m = FGModule(T23, [[0, 4]], 2)
@@ -246,6 +276,131 @@ class TestModuleMap:
         assert f.compose(g).rows == ((Fraction(2), Fraction(3)), (Fraction(0), Fraction(3)))
 
 
+class TestIntegerMaps:
+    """Maps kept as integer numerators over one denominator, against the
+    ``Fraction`` definition: multiply ``rows`` out and test each image row
+    with ``element_is_zero``."""
+
+    SMALL = [2, 3, 5, 7]
+
+    def nested_rings(self, rng, kind):
+        """A ring and a smaller one inside it, of the given shape."""
+        if kind == "empty":
+            return EMPTY, EMPTY
+        if kind == "finite":
+            members = rng.sample(self.SMALL, rng.randint(1, 3))
+            return PrimeSet.finite(members), PrimeSet.finite(rng.sample(members, rng.randint(0, len(members))))
+        excluded = rng.sample(self.SMALL, rng.randint(0, 2))
+        rest = [p for p in self.SMALL if p not in excluded]
+        smaller = rng.choice([
+            PrimeSet.all_except(excluded + rng.sample(rest, rng.randint(0, 1))),
+            PrimeSet.finite(rng.sample(rest, rng.randint(0, 2))),
+        ])
+        return PrimeSet.all_except(excluded), smaller
+
+    @staticmethod
+    def module(rng, primes, n):
+        rels = []
+        for _ in range(rng.choice([0, 1, 2, n, n])):
+            scale = rng.choice([1, 2, 3, 4, 5, 6, 7])
+            rels.append([scale * rng.choice([0, rng.randint(-4, 4)]) for _ in range(n)])
+        return FGModule(primes, rels, n)
+
+    @staticmethod
+    def matrix(rng, rows, cols):
+        return [
+            [Fraction(rng.choice([0, rng.randint(-6, 6)]), rng.choice([1, 1, 1, 2, 3, 5, 6, 7]))
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+
+    @staticmethod
+    def reference_error(source, target, rows):
+        for row in rows:
+            for x in row:
+                if not is_x_number(x.denominator, target.primes):
+                    return f"denominator of {x} is not invertible in the target ring"
+        for rel in source.relations:
+            image = [sum(r * row[c] for r, row in zip(rel, rows)) for c in range(target.ngens)]
+            if not target.element_is_zero(image):
+                return f"relation {rel} does not map to zero in the target"
+        return None
+
+    def build(self, source, target, rows):
+        """(map or None, error text or None), checked against the reference."""
+        try:
+            f, got = ModuleMap(source, target, rows), None
+        except ValueError as exc:
+            f, got = None, str(exc)
+        assert got == self.reference_error(source, target, rows), (source, target, rows)
+        if f is not None:
+            assert f.rows == tuple(tuple(row) for row in rows)
+            assert f.den > 0 and gcd(f.den, *(x for row in f.num for x in row)) == 1
+            assert all(Fraction(x, f.den) == y for ra, rb in zip(f.num, rows) for x, y in zip(ra, rb))
+        return f, got
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(2718)
+        counts = dict.fromkeys(
+            ["accepted", "denominator", "relation", "equal", "unequal", "zero", "composed"], 0
+        )
+        for trial in range(360):
+            kind = ("finite", "cofinite", "empty")[trial % 3]
+            big, small = self.nested_rings(rng, kind)
+            source = self.module(rng, big, rng.randint(1, 3))
+            target = self.module(rng, small, rng.randint(1, 3))
+            rows = self.matrix(rng, source.ngens, target.ngens)
+            if rng.random() < 0.5:
+                # multiples of a map send relations to zero more often
+                k = rng.choice([1, 2, 4, 6, 12])
+                rows = [[x * k for x in row] for row in rows]
+            f, err = self.build(source, target, rows)
+            if f is None:
+                counts["denominator" if err.startswith("denominator") else "relation"] += 1
+                continue
+            counts["accepted"] += 1
+
+            expected_zero = all(target.element_is_zero(row) for row in rows)
+            assert f.is_zero_map() == expected_zero
+            counts["zero"] += expected_zero
+
+            # a second map: the same one moved by target relations, or another
+            if target.relations and rng.random() < 0.5:
+                coeffs = self.matrix(rng, source.ngens, len(target.relations))
+                unit = rng.choice([1, 1, 5, 7, 35])
+                other_rows = [
+                    [x + sum(c * rel[col] for c, rel in zip(crow, target.relations)) * unit
+                     for col, x in enumerate(row)]
+                    for row, crow in zip(rows, coeffs)
+                ]
+            else:
+                other_rows = self.matrix(rng, source.ngens, target.ngens)
+            g, _ = self.build(source, target, other_rows)
+            if g is not None:
+                expected = all(
+                    target.element_is_zero([a - b for a, b in zip(ra, rb)])
+                    for ra, rb in zip(rows, other_rows)
+                )
+                assert f.equal_map(g) == expected
+                assert g.equal_map(f) == expected
+                counts["equal" if expected else "unequal"] += 1
+
+            # compose with a map onward to a third module inside the target's ring
+            third = self.module(rng, small, rng.randint(1, 3))
+            h, _ = self.build(target, third, self.matrix(rng, target.ngens, third.ngens))
+            if h is not None:
+                product = [
+                    [sum(a * row[c] for a, row in zip(frow, h.rows)) for c in range(third.ngens)]
+                    for frow in rows
+                ]
+                fh = f.compose(h)
+                assert fh.rows == tuple(tuple(row) for row in product)
+                assert gcd(fh.den, *(x for row in fh.num for x in row)) == 1
+                assert fh.is_zero_map() == all(third.element_is_zero(row) for row in product)
+                counts["composed"] += 1
+        assert min(counts.values()) >= 30, counts
+
+
 class TestMixedKernel:
     def test_two_local_lines_meet_in_the_integers(self):
         z2 = FGModule.free(PrimeSet.finite([2]), 1)
@@ -281,6 +436,28 @@ class TestMixedKernel:
         big = FGModule.free(T23, 1)
         with pytest.raises(ValueError):
             mixed_kernel([z2], [big], {(0, 0): [[1]]})
+
+    def test_level_is_one_past_the_factored_pieces(self):
+        # The pieces are the clearing lcm 6, the Smith entries 2 and 12 of
+        # source and target, and extra_active.  Their product has union part
+        # 2^7 3^3 over {2,3}, and 2^7 3^3 7 over all primes but 5 with
+        # extra_active 35; the level raises each exponent by one.
+        block = {(0, 0): [[Fraction(1, 6), 0], [0, 1]]}
+        m = FGModule(T23, [[12, 0], [0, 2]], 2)
+        assert mixed_kernel([m], [m], block, extra_active=5).level == 2**8 * 3**4
+        m = FGModule(PrimeSet.all_except([5]), [[12, 0], [0, 2]], 2)
+        assert mixed_kernel([m], [m], block, extra_active=35).level == 2**8 * 3**4 * 7**2
+
+    def test_escaped_zero_lattice_is_a_verification_error(self, monkeypatch):
+        m = FGModule(T23, [[4]], 1)
+        monkeypatch.setattr(abmod, "row_span_solve", lambda h, v: None)
+        with pytest.raises(VerificationError, match="normalized relation 0 of source 0"):
+            mixed_kernel([m], [m], {(0, 0): [[1]]})
+
+    def test_uncleared_block_is_a_verification_error(self):
+        m = FGModule.free(T23, 1)
+        with pytest.raises(VerificationError, match=r"block \(0,0\) keeps denominator 2"):
+            abmod._kernel_at_level([m], [m], {(0, 0): ([[1]], 2)}, 1, [1], 1, [0], 1)
 
 
 class TestIsLocalization:
@@ -422,6 +599,16 @@ class TestMediate:
         direct = ModuleMap(z, data.module, [[scale]])
         assert m.equal_map(direct)
 
+    def test_leg_deeper_than_the_level_is_a_verification_error(self):
+        sq = two_block_square(FGModule.free(T23, 1))
+        data = pullback(sq, [[[Fraction(3, 2)]], [[1]]])
+        assert data.to_core.den == 2
+        shallow = dataclasses.replace(data, level=1)
+        z = FGModule.free(T23, 1)
+        legs = {i: ModuleMap(z, sq.local_modules[i], [[0]]) for i in sq.block_indices}
+        with pytest.raises(VerificationError, match="the core leg has denominator 2"):
+            mediate(shallow, ModuleMap(z, sq.core, [[0]]), legs)
+
     def test_incompatible_cone_rejected(self):
         sq = two_block_square(FGModule.free(T23, 1))
         data = pullback(sq, [identity_matrix(1), identity_matrix(1)])
@@ -508,6 +695,10 @@ class TestGenus:
     def test_prime_set_mismatch(self):
         with pytest.raises(ValueError):
             genus_witness(FGModule.free(T23, 1), FGModule.free(T235, 1), EMPTY)
+
+    def test_unpairable_iso_is_a_verification_error(self):
+        with pytest.raises(VerificationError, match="cannot pair generators"):
+            abmod._canonical_iso(FGModule.free(T23, 2), FGModule.free(T23, 1))
 
 
 class TestRandomSquares:

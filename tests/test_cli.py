@@ -94,6 +94,22 @@ class TestGenus:
         assert code == 3
         assert "not in the same genus" in err
 
+    def test_large_relation_entry_is_named(self, capsys):
+        # The kernel level factors each Smith entry on its own, so past the
+        # primality limit the error names the entry, not a product of them.
+        p = 2**127 - 1
+        module = f"module(T=all; rel=[[{p},0]])"
+        code, _, err = run(capsys, "genus", f"{module}, {module}, {{}}")
+        assert code == 2
+        assert err.strip().endswith(f"got {p}")
+
+    def test_large_relation_entry_over_finitely_many_primes(self, capsys):
+        # Over a finite prime set the level needs only division by its members.
+        module = f"module(T={{2,3}}; rel=[[{2**127 - 1},0]])"
+        code, out, _ = run(capsys, "genus", f"{module}, {module}, {{}}")
+        assert code == 0
+        assert "projections certified: yes" in out
+
     def test_arity_is_checked(self, capsys):
         code, _, err = run(capsys, "genus", "module(T={2}; gens=1; rel=[]), {2}")
         assert code == 2

@@ -111,6 +111,36 @@ class TestKernels:
             assert len(left_kernel_basis(a)) == rows - rank
 
 
+def smith_left_kernel(a):
+    """The left kernel read off a full Smith form: rows of L at zero rows of D."""
+    d, left, _ = smith_normal_form(a)
+    cols = len(a[0]) if a else 0
+    rank = sum(1 for i in range(min(len(a), cols)) if d[i][i] != 0)
+    return [left[i] for i in range(rank, len(a))]
+
+
+class TestHermiteKernel:
+    def test_matches_the_smith_form_kernel(self):
+        rng = random.Random(8191)
+        shapes = set()
+        for _ in range(300):
+            rows, cols = rng.randint(1, 7), rng.randint(0, 7)
+            shapes.add("wide" if cols > rows else "tall" if rows > cols else "square")
+            a = random_matrix(rng, rows, cols, -9, 9)
+            for i in rng.sample(range(rows), rng.randint(0, rows // 2)):
+                a[i] = [0] * cols
+            for j in rng.sample(range(cols), rng.randint(0, cols // 2)):
+                for row in a:
+                    row[j] = 0
+            if rows > 1 and rng.random() < 0.3:
+                a[-1] = [x + 2 * y for x, y in zip(a[0], a[1])]
+            basis = left_kernel_basis(a)
+            for v in basis:
+                assert not any(row_vec_mul(v, a))
+            assert hnf_rows(basis) == hnf_rows(smith_left_kernel(a)), a
+        assert shapes == {"wide", "tall", "square"}
+
+
 class TestHermite:
     def test_known_forms(self):
         # already in normal form
