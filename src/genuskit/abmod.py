@@ -247,7 +247,8 @@ class ModuleMap:
     The map is kept as integer numerators ``num`` over one positive
     denominator ``den``, reduced so that ``den`` and the entries have no
     common factor, and checks and compositions run in integers.  ``rows`` is the same
-    matrix over ``Fraction``, built on first use.
+    matrix over ``Fraction``, built on first use.  ``-f`` is the negated
+    map, with the same ``den``.
     """
 
     def __init__(self, source: FGModule, target: FGModule, rows):
@@ -301,6 +302,10 @@ class ModuleMap:
             raise ValueError("maps do not chain: target and source presentations differ")
         num = mat_mul(self.num, then.num)
         return ModuleMap._from_scaled(self.source, then.target, num, self.den * then.den)
+
+    def __neg__(self) -> "ModuleMap":
+        num = tuple(tuple(-x for x in row) for row in self.num)
+        return ModuleMap._from_scaled(self.source, self.target, num, self.den)
 
     def is_zero_map(self) -> bool:
         return all(self.target._scaled_is_zero(row, self.den) for row in self.num)
@@ -356,10 +361,11 @@ def _valuations(n: int, primes: PrimeSet) -> dict:
 def mixed_kernel(sources, targets, blocks, extra_active: int = 1) -> MixedKernel:
     """Present the kernel of a block map between products of modules.
 
-    ``blocks[(j, t)]`` is the matrix of the component map from source j to
-    target t; missing blocks are zero.  The kernel is returned over the
-    union of the source prime sets together with inclusion maps back into
-    each source.
+    ``blocks[(j, t)]`` is the component ``ModuleMap`` from ``sources[j]`` to
+    ``targets[t]``; missing blocks are zero.  Each block is a certified
+    homomorphism, so its shape, direction and relations are already
+    checked.  The kernel is returned over the union of the source prime
+    sets together with inclusion maps back into each source.
 
     The computation picks a denominator level w supported on the union
     primes, solves one integer linear system whose unknowns are the source
@@ -373,16 +379,10 @@ def mixed_kernel(sources, targets, blocks, extra_active: int = 1) -> MixedKernel
     for m in sources:
         union = union | m.primes
     scaled = {}
-    for (j, t), matrix in blocks.items():
-        if not targets[t].primes.issubset(sources[j].primes):
-            raise ValueError(
-                f"block ({j},{t}) maps into a ring over {targets[t].primes}, "
-                f"not reachable from {sources[j].primes}"
-            )
-        matrix = _as_fraction_rows(matrix, targets[t].ngens)
-        if len(matrix) != sources[j].ngens:
-            raise ValueError(f"block ({j},{t}) has the wrong number of rows")
-        scaled[(j, t)] = _scaled_matrix(matrix)
+    for (j, t), f in blocks.items():
+        if f.source != sources[j] or f.target != targets[t]:
+            raise ValueError(f"block ({j},{t}) is {f}, not a map from source {j} to target {t}")
+        scaled[(j, t)] = (f.num, f.den)
     d_clear = lcm(*(den for _, den in scaled.values()))
 
     # The level is one deeper, at each union prime, than the product of the
@@ -522,7 +522,7 @@ def is_localization(f: ModuleMap, at: PrimeSet) -> LocalizationDecision:
         raise ValueError(f"{at} is not contained in the target's prime set")
     checks = []
 
-    kernel = mixed_kernel([f.source], [f.target], {(0, 0): [list(r) for r in f.rows]})
+    kernel = mixed_kernel([f.source], [f.target], {(0, 0): f})
     km = kernel.module
     bad = [d for d in km.invariants if xpart(d, at) != 1]
     if km.free_rank > 0 or bad:
@@ -556,8 +556,7 @@ def _cokernel_killed(f: ModuleMap, at: PrimeSet):
 
     witness = 1
     for j in range(coker.ngens):
-        coords = right[j] if right else []
-        for i, c in enumerate(coords):
+        for i, c in enumerate(right[j]):
             if c == 0:
                 continue
             if i >= rank or (i < len(diag) and diag[i] == 0):
@@ -596,16 +595,16 @@ class FractureSquare:
     product_at_core: FGModule
     spread: ModuleMap
     unscramble: ModuleMap
-    diagonal: ModuleMap
 
 
 def build_fracture(group: FGModule, family: PartitionFamily) -> FractureSquare:
     """Assemble and certify the localization square of a group over T.
 
     Requires finitely many blocks.  Every structural identity is checked
-    on the spot: restriction then collapse equals direct collapse, the
-    unscrambling of the product matches the diagonal, and each arrow is
-    certified as a localization at its prime set.
+    on the spot: restriction then collapse equals direct collapse, and each
+    arrow is certified as a localization at its prime set.  The spread
+    sends each core generator to its copy in every block of the product,
+    and the unscrambling of the product is its identity.
     """
     if group.primes != family.T:
         raise ValueError(f"group lives over {group.primes}, family over {family.T}")
@@ -640,9 +639,6 @@ def build_fracture(group: FGModule, family: PartitionFamily) -> FractureSquare:
             spread_rows[g][pos * n + g] = 1
     spread = ModuleMap(core, product_at_core, spread_rows)
     unscramble = identity_map(product_at_core)
-    diagonal = ModuleMap(core, product_at_core, spread_rows)
-    if not spread.compose(unscramble).equal_map(diagonal):
-        raise VerificationError("unscrambled spread does not match the diagonal")
 
     for i in indices:
         for mapping, at, what in (
@@ -667,7 +663,6 @@ def build_fracture(group: FGModule, family: PartitionFamily) -> FractureSquare:
         product_at_core=product_at_core,
         spread=spread,
         unscramble=unscramble,
-        diagonal=diagonal,
     )
 
 
@@ -696,11 +691,8 @@ def torsion_check(square: FractureSquare) -> BlockTorsionReport:
         )
         per_block[i] = parts
         injective[i] = not parts
-    kernel = mixed_kernel(
-        [square.product_at_core],
-        [square.product_at_core],
-        {(0, 0): [list(r) for r in square.unscramble.rows]},
-    )
+    product = square.product_at_core
+    kernel = mixed_kernel([product], [product], {(0, 0): square.unscramble})
     return BlockTorsionReport(per_block, injective, kernel.module.is_zero())
 
 
@@ -752,10 +744,10 @@ def pullback(square: FractureSquare, twists) -> PullbackData:
     sources = [core] + [square.local_modules[i] for i in indices]
     targets = [core for _ in indices]
     blocks = {}
+    core_identity = identity_map(core)
     for t, i in enumerate(indices):
-        blocks[(0, t)] = identity_matrix(core.ngens)
-        twisted = square.local_to_core[i].compose(autos[i][0])
-        blocks[(t + 1, t)] = [[-x for x in row] for row in twisted.rows]
+        blocks[(0, t)] = core_identity
+        blocks[(t + 1, t)] = -square.local_to_core[i].compose(autos[i][0])
 
     kernel = mixed_kernel(sources, targets, blocks, extra_active=extra)
     mu = kernel.inclusions[0]
@@ -791,15 +783,12 @@ def mediate(data: PullbackData, cone_core: ModuleMap, cone_blocks: dict) -> Modu
 
     rows = []
     for g in range(z.ngens):
-        tup = []
-        for leg in legs:
-            tup.extend(Fraction(x) * w for x in leg.rows[g])
-        clear = 1
-        for x in tup:
-            clear = lcm(clear, x.denominator)
+        # the entries n * w / d of the legs' row g, each with its reduced denominator
+        tup = [(n * w, leg.den) for leg in legs for n in leg.num[g]]
+        clear = lcm(*(d // gcd(n, d) for n, d in tup))
         if not is_x_number(clear, data.module.primes):
             raise DomainError("cone needs denominators deeper than the pullback level")
-        target = [int(x * clear) for x in tup]
+        target = [n * clear // d for n, d in tup]
         coords = row_span_solve(h, target)
         if coords is None:
             raise DomainError(f"cone is incompatible: generator {g} has no preimage")
@@ -858,26 +847,23 @@ def _matrix_bound(square: FractureSquare, twists, inverse_only: bool) -> XNumber
     group = square.group
     S = square.family.S
     data = group._snf_data()
-    right = data["right"] if group.relations else identity_matrix(group.ngens)
-    rank = data["rank"]
-    diag = data["diag"]
+    right, rank, diag = data["right"], data["rank"], data["diag"]
 
     s = 1
     for i, matrix in zip(square.block_indices, twists):
         forward, inverse, _ = _validate_twist(square.core, matrix, S)
-        probes = [inverse.rows] if inverse_only else [inverse.rows, forward.rows]
+        probes = [inverse] if inverse_only else [inverse, forward]
         res = square.family.block_residual(i)
         worst: dict[int, int] = {}
-        for rows in probes:
-            coords = mat_mul([list(r) for r in rows], right)
-            for row in coords:
+        for f in probes:
+            for row in mat_mul(f.num, right):
                 for pos, x in enumerate(row):
-                    x = Fraction(x)
-                    if x == 0 or x.denominator == 1:
+                    d = f.den // gcd(x, f.den)  # reduced denominator of x / den
+                    if d == 1:
                         continue
                     if pos < rank and xpart(diag[pos], S) == 1:
                         continue  # this coordinate is invisible at the core
-                    for p, e in factorize(x.denominator).items():
+                    for p, e in factorize(d).items():
                         if res._contains_known_prime(p):
                             worst[p] = max(worst.get(p, 0), e)
         for p, e in worst.items():
@@ -904,8 +890,6 @@ def _canonical_iso(a: FGModule, b: FGModule) -> ModuleMap:
     nothing / from nothing.
     """
     da, db = a._snf_data(), b._snf_data()
-    ra = da["right"] if a.relations else identity_matrix(a.ngens)
-    rb = db["right"] if b.relations else identity_matrix(b.ngens)
 
     def live_positions(m, data):
         strip = data["stripped"]
@@ -920,24 +904,22 @@ def _canonical_iso(a: FGModule, b: FGModule) -> ModuleMap:
             f"coordinates, {b} has {len(live_b)}"
         )
 
-    can_a = [list(row) for row in ra]
-    for j in range(da["rank"]):
-        unit = da["units"][j]
-        for r in range(a.ngens):
-            can_a[r][j] = Fraction(can_a[r][j], unit)
+    # the right transform of a with column j divided by its unit part, over one denominator
+    den = lcm(*da["units"])
+    col_scale = [den // u for u in da["units"]] + [den] * (a.ngens - da["rank"])
+    can_a = [[x * c for x, c in zip(row, col_scale)] for row in da["right"]]
 
     pair = [[0] * b.ngens for _ in range(a.ngens)]
     for pa, pb in zip(live_a, live_b):
         pair[pa][pb] = 1
 
-    rb_inv = invert_unimodular(rb)
-    undo_b = [list(row) for row in rb_inv]
+    undo_b = [list(row) for row in invert_unimodular(db["right"])]
     for j in range(db["rank"]):
         unit = db["units"][j]
         undo_b[j] = [unit * x for x in undo_b[j]]
 
-    rows = mat_mul(mat_mul(can_a, pair), undo_b)
-    return ModuleMap(a, b, rows)
+    num = mat_mul(mat_mul(can_a, pair), undo_b)
+    return ModuleMap._from_scaled(a, b, num, den)
 
 
 def genus_witness(first: FGModule, second: FGModule, core: PrimeSet) -> GenusWitness:
@@ -962,14 +944,10 @@ def genus_witness(first: FGModule, second: FGModule, core: PrimeSet) -> GenusWit
     if not theta.compose(theta_back).equal_map(identity_map(core_first)):
         raise VerificationError("canonical core isomorphism failed its round trip")
 
-    back_rows = mat_mul([list(r) for r in down_second.rows], [list(r) for r in theta_back.rows])
     kernel = mixed_kernel(
         [first, second],
         [core_first],
-        {
-            (0, 0): [list(r) for r in down_first.rows],
-            (1, 0): [[-x for x in row] for row in back_rows],
-        },
+        {(0, 0): down_first, (1, 0): -down_second.compose(theta_back)},
     )
     to_first, to_second = kernel.inclusions
     return GenusWitness(

@@ -203,8 +203,7 @@ def _pullback_module(cmd: ModPull):
         f"torsion {payload['iso_class']['torsion']}",
         f"presented at level {data.level}",
     ]
-    for check in certificate.checks:
-        lines.append(f"[{'ok' if check.passed else 'FAIL'}] {check.name}: {check.witness}")
+    lines += [str(c) for c in certificate.checks]
     return payload, lines
 
 
@@ -581,9 +580,7 @@ def _cmd_counterexample(args, config):
             "  the limit collapses to the zero group, and the comparison with"
             f" block {probe_block} stops being a localization:",
         ]
-        lines += [
-            f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.witness}" for c in report.checks
-        ]
+        lines += [f"  {c}" for c in report.checks]
 
     if args.family:
         q0 = family.block_residual(sample[0]).first(1)[0]
@@ -634,9 +631,7 @@ def _cmd_counterexample(args, config):
             f"  class: {cls}",
             "  yet every block comparison is a genuine localization:",
         ]
-        lines += [
-            f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.witness}" for c in report.checks
-        ]
+        lines += [f"  {c}" for c in report.checks]
     elif not args.family:
         raise AssertionError("the default family is infinite")
     else:

@@ -11,6 +11,9 @@ class Check:
     passed: bool
     witness: str
 
+    def __str__(self) -> str:
+        return f"[{'ok' if self.passed else 'FAIL'}] {self.name}: {self.witness}"
+
 
 class GenusKitError(Exception):
     """Base class for every error raised by this package."""

@@ -500,9 +500,7 @@ class LocalizeHeisReport:
         return all(c.passed for c in self.checks)
 
     def __str__(self) -> str:
-        return "\n".join(
-            f"[{'ok' if c.passed else 'FAIL'}] {c.name}: {c.witness}" for c in self.checks
-        )
+        return "\n".join(str(c) for c in self.checks)
 
 
 def localize_subgroup(

@@ -10,7 +10,6 @@ must be exact and unimodularity matters more than speed at these sizes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 def mat_copy(a):
@@ -40,14 +39,6 @@ def mat_mul(a, b):
 
 def row_vec_mul(v, m):
     return mat_mul([list(v)], m)[0]
-
-
-def mat_eq(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
 
 
 def mat_det(a) -> Fraction:
@@ -248,12 +239,6 @@ def smith_normal_form(a):
     return d, left, right
 
 
-def snf_diagonal(a) -> list[int]:
-    d, _, _ = smith_normal_form(a)
-    n = min(len(d), len(d[0]) if d else 0)
-    return [d[i][i] for i in range(n)]
-
-
 def left_kernel_basis(a):
     """Basis rows for {v integer row : v @ a == 0}.
 
@@ -352,34 +337,9 @@ def row_span_solve(h, v):
     return coords
 
 
-def lattice_sum(a, b):
-    return hnf_rows(list(a) + list(b))
-
-
 def lattice_equal(a, b) -> bool:
     return hnf_rows(a) == hnf_rows(b)
 
 
 def lattice_contains(h, v) -> bool:
     return row_span_solve(h, v) is not None
-
-
-def gcd_of_minors(a, k: int) -> int:
-    """gcd of all k x k minors; the classical oracle for Smith invariants."""
-    from itertools import combinations
-
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if k == 0:
-        return 1
-    if k > min(rows, cols):
-        return 0
-    g = 0
-    for rsel in combinations(range(rows), k):
-        for csel in combinations(range(cols), k):
-            sub = [[a[i][j] for j in csel] for i in rsel]
-            det = mat_det(sub)
-            g = gcd(g, int(det))
-            if g == 1:
-                return 1
-    return g

@@ -411,7 +411,7 @@ class LocalizationReport:
     def __str__(self) -> str:
         lines = [f"block {self.block_index}:"]
         for c in self.checks:
-            lines.append(f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.witness}")
+            lines.append(f"  {c}")
         return "\n".join(lines)
 
 

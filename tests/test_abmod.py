@@ -3,7 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -28,11 +28,14 @@ from genuskit.errors import DomainError, VerificationError
 from genuskit.intlinalg import (
     hnf_rows,
     identity_matrix,
+    invert_rational,
     invert_unimodular,
     lattice_contains,
+    mat_det,
+    mat_mul,
     rational_row_solve,
 )
-from genuskit.primeset import PrimeSet, is_x_number, make_family
+from genuskit.primeset import PrimeSet, factorize, is_x_number, make_family
 from genuskit.rank1 import is_bounded, is_bounded_above, make_aut
 
 T23 = PrimeSet.finite([2, 3])
@@ -275,6 +278,20 @@ class TestModuleMap:
         g = ModuleMap(b, b, [[2, 0], [0, 3]])
         assert f.compose(g).rows == ((Fraction(2), Fraction(3)), (Fraction(0), Fraction(3)))
 
+    def test_negation(self):
+        a = FGModule(T23, [[4, 0]], 2)
+        b = FGModule(PrimeSet.finite([2]), [[2, 0]], 2)
+        f = ModuleMap(a, b, [[Fraction(1, 3), 0], [1, Fraction(2, 3)]])
+        g = ModuleMap(b, b, [[1, 0], [1, 3]])
+        neg = -f
+        assert (neg.source, neg.target) == (a, b)
+        assert neg.num == tuple(tuple(-x for x in row) for row in f.num)
+        assert neg.den == f.den == 3
+        assert neg.compose(g).equal_map(-(f.compose(g)))
+        assert not neg.equal_map(f)
+        assert (-neg).num == f.num and (-neg).den == f.den
+        assert (-neg).equal_map(f)
+
 
 class TestIntegerMaps:
     """Maps kept as integer numerators over one denominator, against the
@@ -406,7 +423,8 @@ class TestMixedKernel:
         z2 = FGModule.free(PrimeSet.finite([2]), 1)
         z3 = FGModule.free(PrimeSet.finite([3]), 1)
         target = FGModule.free(EMPTY, 1)
-        k = mixed_kernel([z2, z3], [target], {(0, 0): [[1]], (1, 0): [[-1]]})
+        blocks = {(0, 0): ModuleMap(z2, target, [[1]]), (1, 0): ModuleMap(z3, target, [[-1]])}
+        k = mixed_kernel([z2, z3], [target], blocks)
         assert k.module.iso_class() == (1, ())
         assert k.inclusions[0].rows == ((Fraction(1),),)
         assert k.inclusions[1].rows == ((Fraction(1),),)
@@ -414,7 +432,7 @@ class TestMixedKernel:
     def test_congruence_kernel(self):
         src = FGModule.free(T23, 1)
         tgt = FGModule(PrimeSet.finite([2]), [[4]], 1)
-        k = mixed_kernel([src], [tgt], {(0, 0): [[1]]})
+        k = mixed_kernel([src], [tgt], {(0, 0): ModuleMap(src, tgt, [[1]])})
         assert k.module.iso_class() == (1, ())
         assert k.inclusions[0].rows == ((Fraction(4),),)
 
@@ -422,37 +440,53 @@ class TestMixedKernel:
         two = PrimeSet.finite([2])
         src = FGModule(two, [[4]], 1)
         tgt = FGModule(two, [[2]], 1)
-        k = mixed_kernel([src], [tgt], {(0, 0): [[1]]})
+        k = mixed_kernel([src], [tgt], {(0, 0): ModuleMap(src, tgt, [[1]])})
         assert k.module.iso_class() == (0, ((2, 1),))
 
     def test_zero_kernel(self):
         src = FGModule.free(T23, 1)
         tgt = FGModule.free(T23, 1)
-        k = mixed_kernel([src], [tgt], {(0, 0): [[1]]})
+        k = mixed_kernel([src], [tgt], {(0, 0): ModuleMap(src, tgt, [[1]])})
         assert k.module.is_zero()
 
     def test_direction_validated(self):
         z2 = FGModule.free(PrimeSet.finite([2]), 1)
         big = FGModule.free(T23, 1)
         with pytest.raises(ValueError):
-            mixed_kernel([z2], [big], {(0, 0): [[1]]})
+            mixed_kernel([z2], [big], {(0, 0): ModuleMap(z2, big, [[1]])})
+
+    def test_block_between_other_modules_is_named(self):
+        z2 = FGModule.free(PrimeSet.finite([2]), 1)
+        z3 = FGModule.free(PrimeSet.finite([3]), 1)
+        q = FGModule.free(EMPTY, 1)
+        good, stray = ModuleMap(z2, q, [[1]]), ModuleMap(z3, q, [[1]])
+        with pytest.raises(ValueError, match=r"block \(0,0\)"):
+            mixed_kernel([z2], [q], {(0, 0): stray})
+        with pytest.raises(ValueError, match=r"block \(1,0\)"):
+            mixed_kernel([z2, z3], [q], {(0, 0): good, (1, 0): good})
+        with pytest.raises(ValueError, match=r"block \(0,1\)"):
+            mixed_kernel([z2], [q, z2], {(0, 0): good, (0, 1): good})
 
     def test_level_is_one_past_the_factored_pieces(self):
         # The pieces are the clearing lcm 6, the Smith entries 2 and 12 of
         # source and target, and extra_active.  Their product has union part
         # 2^7 3^3 over {2,3}, and 2^7 3^3 7 over all primes but 5 with
         # extra_active 35; the level raises each exponent by one.
-        block = {(0, 0): [[Fraction(1, 6), 0], [0, 1]]}
+        # The block divides by 6, so its target lives over no primes.
+        rows = [[Fraction(1, 6), 0], [0, 1]]
+        tgt = FGModule(EMPTY, [[12, 0], [0, 2]], 2)
         m = FGModule(T23, [[12, 0], [0, 2]], 2)
-        assert mixed_kernel([m], [m], block, extra_active=5).level == 2**8 * 3**4
+        block = {(0, 0): ModuleMap(m, tgt, rows)}
+        assert mixed_kernel([m], [tgt], block, extra_active=5).level == 2**8 * 3**4
         m = FGModule(PrimeSet.all_except([5]), [[12, 0], [0, 2]], 2)
-        assert mixed_kernel([m], [m], block, extra_active=35).level == 2**8 * 3**4 * 7**2
+        block = {(0, 0): ModuleMap(m, tgt, rows)}
+        assert mixed_kernel([m], [tgt], block, extra_active=35).level == 2**8 * 3**4 * 7**2
 
     def test_escaped_zero_lattice_is_a_verification_error(self, monkeypatch):
         m = FGModule(T23, [[4]], 1)
         monkeypatch.setattr(abmod, "row_span_solve", lambda h, v: None)
         with pytest.raises(VerificationError, match="normalized relation 0 of source 0"):
-            mixed_kernel([m], [m], {(0, 0): [[1]]})
+            mixed_kernel([m], [m], {(0, 0): identity_map(m)})
 
     def test_uncleared_block_is_a_verification_error(self):
         m = FGModule.free(T23, 1)
@@ -505,7 +539,7 @@ class TestFracture:
         assert sq.block_indices == (0, 1)
         assert sq.core.primes == EMPTY
         assert sq.product_at_core.ngens == 2
-        assert sq.spread.compose(sq.unscramble).equal_map(sq.diagonal)
+        assert sq.spread.compose(sq.unscramble).equal_map(sq.spread)
 
     def test_singleton_family_materializes(self):
         fam = make_family(T23, EMPTY)
@@ -658,6 +692,55 @@ class TestMatrixBounds:
         twists = [identity_matrix(2), identity_matrix(2)]
         assert int(is_bounded_matrix(sq, twists)) == 1
 
+    @staticmethod
+    def fraction_bound(sq, twists, inverse_only):
+        """The bound entry by entry over ``Fraction``: the largest power of
+        each residual prime in a denominator of a twist row in Smith
+        coordinates, skipping coordinates that are zero at the core."""
+        data = sq.group._snf_data()
+        s = 1
+        for i, matrix in zip(sq.block_indices, twists):
+            probes = [invert_rational(matrix)] + ([] if inverse_only else [matrix])
+            worst = {}
+            for rows in probes:
+                for row in mat_mul(rows, data["right"]):
+                    for pos, x in enumerate(row):
+                        if pos < data["rank"] and xpart(data["diag"][pos], sq.family.S) == 1:
+                            continue
+                        for p, e in factorize(Fraction(x).denominator).items():
+                            if p in sq.family.block_residual(i):
+                                worst[p] = max(worst.get(p, 0), e)
+            s *= prod(p**e for p, e in worst.items())
+        return s
+
+    def test_matches_fraction_reference(self, rng):
+        # twists whose entries carry different denominators, over free and
+        # torsion groups; a block's twist fixes the torsion coordinate
+        dens = [1, 2, 3, 4, 6, 8, 9, 12]
+        units = [1, 5, 7]
+        groups = [
+            FGModule.free(T23, 2),
+            FGModule.from_parts(T23, 1, [12]),
+            FGModule(T23, [[0, 6]], 2),
+        ]
+        for group in groups:
+            sq = two_block_square(group)
+            for _ in range(40):
+                twists = []
+                while len(twists) < 2:
+                    m = [
+                        [Fraction(rng.randint(-5, 5), rng.choice(dens)) for _ in range(2)]
+                        for _ in range(2)
+                    ]
+                    if group.relations:
+                        m[1] = [0, Fraction(rng.choice(units), rng.choice(units))]
+                    if mat_det(m) != 0:
+                        twists.append(m)
+                above = self.fraction_bound(sq, twists, True)
+                both = self.fraction_bound(sq, twists, False)
+                assert int(is_bounded_above_matrix(sq, twists)) == above
+                assert int(is_bounded_matrix(sq, twists)) == both
+
 
 class TestGenus:
     def test_distinct_cores_rejected(self):
@@ -677,6 +760,31 @@ class TestGenus:
         w = genus_witness(g, h, EMPTY)
         assert w.module.iso_class() == (1, ())
         assert w.first_certificate and w.second_certificate
+
+    def test_core_torsion_with_unit_parts(self):
+        # 12 = 4 * 3 and 20 = 4 * 5 keep unit parts 3 and 5 at the core {2};
+        # the canonical iso divides them out and must survive its round trip
+        two = PrimeSet.finite([2])
+        w = genus_witness(FGModule(T23, [[12]], 1), FGModule(T23, [[4]], 1), two)
+        assert w.module.iso_class() == (0, ((2, 2), (3, 1)))
+        assert (w.core_iso.num, w.core_iso.den) == (((1,),), 3)
+        w = genus_witness(FGModule(T23, [[12, 0]], 2), FGModule(T23, [[0, 20]], 2), two)
+        assert w.module.iso_class() == (1, ((2, 2), (3, 1)))
+        assert (w.core_iso.num, w.core_iso.den) == (((0, 5), (3, 0)), 3)
+
+    def test_square_commutes_through_the_core_iso(self):
+        core = PrimeSet.finite([2])
+        pairs = [
+            (FGModule(T23, [[12, 0]], 2), FGModule(T23, [[0, 20]], 2)),
+            (FGModule.from_parts(T23, 1, [4]), FGModule(T23, [[4, 0]], 2)),
+            (FGModule.free(T23, 1), FGModule(T23, [[2, 3]], 2)),
+        ]
+        for first, second in pairs:
+            w = genus_witness(first, second, core)
+            _, down_first = first.localize(core)
+            _, down_second = second.localize(core)
+            via_first = w.to_first.compose(down_first).compose(w.core_iso)
+            assert via_first.equal_map(w.to_second.compose(down_second))
 
     def test_torsion_tied_at_the_core(self):
         g = FGModule.from_parts(T23, 1, [4])

@@ -1,10 +1,10 @@
-"""Byte-identical JSON output for fixed inputs.
+"""Byte-identical JSON and text output for fixed inputs.
 
 Refactors of the arithmetic layers must not change any answer or
-certificate.  Each case runs the CLI in process with ``--format json`` and
-compares the exit code and the sha256 of stdout with a digest recorded
-before the layers below were rewritten.  A deliberate change of output has
-to update the digest here and say why.
+certificate.  Each case runs the CLI in process with ``--format json`` (or
+``--format text``) and compares the exit code and the sha256 of stdout with
+a digest recorded before the layers below were rewritten.  A deliberate
+change of output has to update the digest here and say why.
 """
 
 import contextlib
@@ -95,6 +95,20 @@ PINNED = [
 ]
 
 
+# The text rendering of the six README one-shots, in the order above.
+PINNED_TEXT = [
+    "17029054fd0f0682063e2673a3671c8705eb10e7a483cb4abaa85c0dcf617e25",
+    "f342e5807c4c570f0196dcc4e83b6736d0cba17814455a5692e3dea001e219bf",
+    "9f62e8ae30be184be2c33d59946c19a20233989e8e8c7022dc19f0a0bfe06ee9",
+    "43ebd3dda569213ab53f234a7c91f94815b0b32d757013fda0282aba97e316e9",
+    "2331efcd210158b4850e6c2bdbed149e843839e1914832dd5e980e7a504a7ecf",
+    "029f373a2b44e109a540ca6dd4cc57aa56daf4c83a7195d5489cf6ff23f06846",
+]
+PINNED_ONE_SHOTS = [
+    (argv, code, digest) for (argv, code, _), digest in zip(PINNED, PINNED_TEXT)
+]
+
+
 @pytest.mark.parametrize(
     "argv, code, digest", PINNED, ids=[" ".join(argv[:2]) for argv, _, _ in PINNED]
 )
@@ -102,5 +116,18 @@ def test_json_output_is_pinned(argv, code, digest):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         got = cli.main(argv + ["--format", "json"])
+    assert got == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    PINNED_ONE_SHOTS,
+    ids=[" ".join(argv[:2]) for argv, _, _ in PINNED_ONE_SHOTS],
+)
+def test_text_output_is_pinned(argv, code, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = cli.main(argv + ["--format", "text"])
     assert got == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
