@@ -293,9 +293,6 @@ class ModuleMap:
             self._rows = tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
         return self._rows
 
-    def apply_row(self, v):
-        return row_vec_mul(v, self.rows)
-
     def compose(self, then: "ModuleMap") -> "ModuleMap":
         """The map ``x -> then(self(x))``."""
         if then.source != self.target:
@@ -306,9 +303,6 @@ class ModuleMap:
     def __neg__(self) -> "ModuleMap":
         num = tuple(tuple(-x for x in row) for row in self.num)
         return ModuleMap._from_scaled(self.source, self.target, num, self.den)
-
-    def is_zero_map(self) -> bool:
-        return all(self.target._scaled_is_zero(row, self.den) for row in self.num)
 
     def equal_map(self, other: "ModuleMap") -> bool:
         """Equality as homomorphisms, i.e. entrywise modulo target relations."""
@@ -410,10 +404,12 @@ def mixed_kernel(sources, targets, blocks, extra_active: int = 1) -> MixedKernel
         return _kernel_at_level(sources, targets, scaled, d_clear, outside, level, offsets, total)
 
     result = at_level(w)
+    tried = [w]
     for _ in range(8):
         if deepen == 1:
             break
         deeper = at_level(w * deepen)
+        tried.append(w * deepen)
         rescaled = [[x * deepen for x in row] for row in result]
         lam_deep = _zero_lattice_rows(sources, w * deepen, offsets, total)
         if lattice_equal(rescaled + lam_deep, deeper):
@@ -421,7 +417,8 @@ def mixed_kernel(sources, targets, blocks, extra_active: int = 1) -> MixedKernel
         w *= deepen
         result = deeper
     else:
-        raise RuntimeError("kernel lattice failed to stabilize; presentation too deep")
+        history = ", ".join(f"{x} ({x.bit_length()} bits)" for x in tried)
+        raise DomainError(f"kernel lattice failed to stabilize; levels tried: {history}")
 
     b_sum = result
     lam_rows = _zero_lattice_rows(sources, w, offsets, total)
@@ -496,9 +493,7 @@ def _kernel_at_level(sources, targets, blocks, d_clear, outside, w, offsets, tot
             for c in range(offsets[j], offsets[j] + m.ngens):
                 row[c] = krow[c] * inside[j]
         gen_rows.append(row)
-
-    lam = _zero_lattice_rows(sources, w, offsets, total_v)
-    return hnf_rows(gen_rows + lam)
+    return hnf_rows(gen_rows)
 
 
 @dataclass
@@ -517,9 +512,29 @@ def is_localization(f: ModuleMap, at: PrimeSet) -> LocalizationDecision:
     the primes outside ``at`` (it is torsion of order coprime to ``at``),
     and every target generator must have a multiple by such an invertible
     integer inside the image.
+
+    A re-tag map (den 1, identity numerators, equal relations and
+    generator count, target primes inside the source's; what
+    ``FGModule.localize`` returns) is decided in closed form from the
+    cached Smith data.  With s_j and t_j the stripped diagonal entries over
+    the source and target primes, it is Z/s_j -> Z/t_j on each torsion
+    coordinate and the inclusion on the free ones: onto, with kernel the
+    sum of the Z/(s_j / t_j), killed by their lcm and supported off the
+    target primes.  Every other map is decided from its ``mixed_kernel``
+    and cokernel.
     """
     if not at.issubset(f.target.primes):
         raise ValueError(f"{at} is not contained in the target's prime set")
+    src, tgt = f.source, f.target
+    identity = tuple(map(tuple, identity_matrix(src.ngens)))
+    if (f.den == 1 and f.num == identity and src.relations == tgt.relations
+            and src.ngens == tgt.ngens and tgt.primes.issubset(src.primes)):
+        pairs = zip(src._snf_data()["stripped"], tgt._snf_data()["stripped"])
+        killer = lcm(*(s // t for s, t in pairs))
+        return LocalizationDecision(True, (
+            Check("kernel-invertible-torsion", True, f"kernel killed by {XNumber(killer, at)}"),
+            Check("cokernel-killed", True, f"cokernel killed by {XNumber(1, at)}"),
+        ))
     checks = []
 
     kernel = mixed_kernel([f.source], [f.target], {(0, 0): f})
@@ -579,9 +594,9 @@ def _cokernel_killed(f: ModuleMap, at: PrimeSet):
 class FractureSquare:
     """One group over T split along the blocks of a partition family.
 
-    Holds the localizations at each block and at the core, the product of
-    the block localizations pushed down to the core, and the comparison
-    maps between them, all certified at construction.
+    Holds the localizations at each block (``to_local``) and at the core
+    (``to_core``), and the collapse of each block to the core
+    (``local_to_core``), all certified at construction.
     """
 
     group: FGModule
@@ -592,9 +607,6 @@ class FractureSquare:
     core: FGModule
     to_core: ModuleMap
     local_to_core: dict
-    product_at_core: FGModule
-    spread: ModuleMap
-    unscramble: ModuleMap
 
 
 def build_fracture(group: FGModule, family: PartitionFamily) -> FractureSquare:
@@ -602,9 +614,9 @@ def build_fracture(group: FGModule, family: PartitionFamily) -> FractureSquare:
 
     Requires finitely many blocks.  Every structural identity is checked
     on the spot: restriction then collapse equals direct collapse, and each
-    arrow is certified as a localization at its prime set.  The spread
-    sends each core generator to its copy in every block of the product,
-    and the unscrambling of the product is its identity.
+    of the 2k+1 arrows is certified as a localization at its prime set.
+    All of them are re-tag maps from ``FGModule.localize``, so
+    ``is_localization`` decides each one from cached Smith data.
     """
     if group.primes != family.T:
         raise ValueError(f"group lives over {group.primes}, family over {family.T}")
@@ -622,23 +634,6 @@ def build_fracture(group: FGModule, family: PartitionFamily) -> FractureSquare:
         phi[i] = down
         if not psi[i].compose(phi[i]).equal_map(sigma):
             raise VerificationError(f"block {i}: restrict-then-collapse differs from collapse")
-
-    k = len(indices)
-    n = group.ngens
-    block_rel = []
-    for pos in range(k):
-        for rel in group.relations:
-            row = [0] * (k * n)
-            row[pos * n : (pos + 1) * n] = rel
-            block_rel.append(row)
-    product_at_core = FGModule(family.S, block_rel, k * n)
-
-    spread_rows = [[0] * (k * n) for _ in range(n)]
-    for pos in range(k):
-        for g in range(n):
-            spread_rows[g][pos * n + g] = 1
-    spread = ModuleMap(core, product_at_core, spread_rows)
-    unscramble = identity_map(product_at_core)
 
     for i in indices:
         for mapping, at, what in (
@@ -660,9 +655,6 @@ def build_fracture(group: FGModule, family: PartitionFamily) -> FractureSquare:
         core=core,
         to_core=sigma,
         local_to_core=phi,
-        product_at_core=product_at_core,
-        spread=spread,
-        unscramble=unscramble,
     )
 
 
@@ -677,22 +669,29 @@ class BlockTorsionReport:
 
 
 def torsion_check(square: FractureSquare) -> BlockTorsionReport:
-    """Residual torsion per block, and the kernel of the unscrambling map.
+    """Residual torsion per block, and the kernel of G -> (+)_i G_{T_i}.
 
     A block's collapse map kills exactly the torsion supported on its own
-    residual primes, so that torsion is read off the local invariants; the
-    product-level kernel is computed honestly rather than assumed.
+    residual primes, so that torsion is read off the local invariants.  The
+    kernel of the group into the product of its block localizations is
+    computed by ``mixed_kernel``; it is zero because the blocks cover T,
+    and ``product_kernel_trivial`` is false when a localization map loses
+    an element.
     """
+    indices = square.block_indices
     per_block, injective = {}, {}
-    for i in square.block_indices:
+    for i in indices:
         res = square.family.block_residual(i)
         parts = tuple(
             xpart(d, res) for d in square.local_modules[i].invariants if xpart(d, res) != 1
         )
         per_block[i] = parts
         injective[i] = not parts
-    product = square.product_at_core
-    kernel = mixed_kernel([product], [product], {(0, 0): square.unscramble})
+    kernel = mixed_kernel(
+        [square.group],
+        [square.local_modules[i] for i in indices],
+        {(0, t): square.to_local[i] for t, i in enumerate(indices)},
+    )
     return BlockTorsionReport(per_block, injective, kernel.module.is_zero())
 
 

@@ -339,7 +339,3 @@ def row_span_solve(h, v):
 
 def lattice_equal(a, b) -> bool:
     return hnf_rows(a) == hnf_rows(b)
-
-
-def lattice_contains(h, v) -> bool:
-    return row_span_solve(h, v) is not None

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from genuskit.intlinalg import row_span_solve
 from genuskit.primeset import PrimeSet, is_prime
 
 
@@ -23,3 +24,8 @@ def random_prime_set(rng, pool=None, max_size=5):
 
 def random_matrix(rng, rows, cols, lo=-10, hi=10):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def lattice_contains(h, v) -> bool:
+    """Is the row v in the lattice whose HNF basis is h?"""
+    return row_span_solve(h, v) is not None

@@ -3,12 +3,13 @@
 import dataclasses
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 
-from conftest import PRIMES_BELOW_100
+from conftest import PRIMES_BELOW_100, lattice_contains
 import genuskit.abmod as abmod
+import genuskit.cli as cli
 from genuskit.abmod import (
     FGModule,
     ModuleMap,
@@ -24,23 +25,53 @@ from genuskit.abmod import (
     torsion_check,
     xpart,
 )
-from genuskit.errors import DomainError, VerificationError
+from genuskit.errors import Check, DomainError, VerificationError
 from genuskit.intlinalg import (
     hnf_rows,
     identity_matrix,
     invert_rational,
     invert_unimodular,
-    lattice_contains,
     mat_det,
     mat_mul,
     rational_row_solve,
+    row_vec_mul,
 )
-from genuskit.primeset import PrimeSet, factorize, is_x_number, make_family
+from genuskit.primeset import PrimeSet, XNumber, factorize, is_x_number, make_family
 from genuskit.rank1 import is_bounded, is_bounded_above, make_aut
 
 T23 = PrimeSet.finite([2, 3])
 T235 = PrimeSet.finite([2, 3, 5])
 EMPTY = PrimeSet.finite([])
+
+
+def apply_row(f, v):
+    """The image under f of the source element with coefficient row v."""
+    return row_vec_mul(v, f.rows)
+
+
+def is_zero_map(f):
+    """Does f send every generator to zero, read from its integer form?"""
+    return all(f.target._scaled_is_zero(row, f.den) for row in f.num)
+
+
+def random_subset(rng, primes, pool=(2, 3, 5, 7)):
+    """A random prime set inside ``primes``: its meet with a random finite or cofinite set."""
+    picked = rng.sample(pool, rng.randint(0, len(pool)))
+    return primes & (PrimeSet.all_except(picked) if rng.random() < 0.5 else PrimeSet.finite(picked))
+
+
+def kernel_path_checks(f, at):
+    """The checks of ``is_localization(f, at)`` computed for any map, from
+    the mixed kernel of f and the Smith form of its cokernel."""
+    km = mixed_kernel([f.source], [f.target], {(0, 0): f}).module
+    bad = [d for d in km.invariants if xpart(d, at) != 1]
+    if km.free_rank or bad:
+        reason = f"kernel has free rank {km.free_rank}" if km.free_rank else f"kernel carries orders {bad}"
+        kernel = Check("kernel-invertible-torsion", False, reason)
+    else:
+        killer = XNumber(lcm(*km.invariants), at)
+        kernel = Check("kernel-invertible-torsion", True, f"kernel killed by {killer}")
+    return (kernel, Check("cokernel-killed", *abmod._cokernel_killed(f, at)))
 
 
 def two_block_square(group):
@@ -378,7 +409,7 @@ class TestIntegerMaps:
             counts["accepted"] += 1
 
             expected_zero = all(target.element_is_zero(row) for row in rows)
-            assert f.is_zero_map() == expected_zero
+            assert is_zero_map(f) == expected_zero
             counts["zero"] += expected_zero
 
             # a second map: the same one moved by target relations, or another
@@ -413,7 +444,7 @@ class TestIntegerMaps:
                 fh = f.compose(h)
                 assert fh.rows == tuple(tuple(row) for row in product)
                 assert gcd(fh.den, *(x for row in fh.num for x in row)) == 1
-                assert fh.is_zero_map() == all(third.element_is_zero(row) for row in product)
+                assert is_zero_map(fh) == all(third.element_is_zero(row) for row in product)
                 counts["composed"] += 1
         assert min(counts.values()) >= 30, counts
 
@@ -488,6 +519,30 @@ class TestMixedKernel:
         with pytest.raises(VerificationError, match="normalized relation 0 of source 0"):
             mixed_kernel([m], [m], {(0, 0): identity_map(m)})
 
+    def test_dropped_kernel_row_is_a_verification_error(self, monkeypatch):
+        # Over {2,3} the relation 5 g_0 kills g_0 and the level stays 1.  The
+        # identity's kernel lattice is then the one row of the zero lattice;
+        # with that row gone the normalized relation has nowhere to land.
+        m = FGModule(T23, [[5, 0]], 2)
+        basis = abmod.left_kernel_basis
+        monkeypatch.setattr(abmod, "left_kernel_basis", lambda eq: basis(eq)[:-1])
+        with pytest.raises(VerificationError, match="normalized relation 0 of source 0"):
+            mixed_kernel([m], [m], {(0, 0): identity_map(m)})
+
+    def test_unstable_level_loop_is_a_domain_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(abmod, "lattice_equal", lambda a, b: False)
+        m = FGModule(T23, [[4]], 1)
+        history = r"levels tried: 32 \(6 bits\), 64 \(7 bits\), .*, 8192 \(14 bits\)$"
+        with pytest.raises(DomainError, match="failed to stabilize; " + history):
+            mixed_kernel([m], [m], {(0, 0): identity_map(m)})
+        code = cli.main([
+            "pullback",
+            "modpull(module(T={2,3}; rel=[[4,0]]); blocks({2,3}, {}; {2}, {3}); "
+            "[[1/2,0],[0,1]], [[3,0],[0,1]])",
+        ])
+        assert code == 3
+        assert "kernel lattice failed to stabilize; levels tried: " in capsys.readouterr().err
+
     def test_uncleared_block_is_a_verification_error(self):
         m = FGModule.free(T23, 1)
         with pytest.raises(VerificationError, match=r"block \(0,0\) keeps denominator 2"):
@@ -528,6 +583,40 @@ class TestIsLocalization:
         assert "infinite order" in decision.checks[1].witness
 
 
+    def test_retag_maps_match_the_kernel_path(self, monkeypatch):
+        # Localize maps over finite, cofinite and empty prime sets, with
+        # torsion on primes kept by the target, dropped by it, and outside
+        # the source; the closed form must never reach mixed_kernel.
+        rng = random.Random(6006)
+        pool = (2, 3, 5, 7)
+        counts = dict.fromkeys(["finite", "cofinite", "empty", "dropped", "kept"], 0)
+        cases = []
+        for trial in range(330):
+            kind = ("finite", "cofinite", "empty")[trial % 3]
+            picked = rng.sample(pool, rng.randint(1, 3))
+            primes = {"finite": PrimeSet.finite(picked), "cofinite": PrimeSet.all_except(picked[1:]),
+                      "empty": EMPTY}[kind]
+            n = rng.randint(1, 3)
+            rows = [[rng.choice([0, 0, 1, -2, 3]) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+            for g in rng.sample(range(n), rng.randint(0, n)):
+                row = [0] * n
+                row[g] = prod(rng.choices(pool, k=rng.randint(1, 3)))
+                rows.append(row)
+            target, f = FGModule(primes, rows, n).localize(random_subset(rng, primes))
+            at = random_subset(rng, target.primes)
+            counts[kind] += 1
+            counts["dropped"] += f.source.invariants != target.invariants
+            counts["kept"] += bool(target.invariants)
+            cases.append((f, at, kernel_path_checks(f, at)))
+        assert min(counts.values()) >= 50, counts
+
+        monkeypatch.setattr(abmod, "mixed_kernel", None)
+        for f, at, expected in cases:
+            decision = is_localization(f, at)
+            assert decision.passed
+            assert decision.checks == expected
+
+
 class TestFracture:
     def test_rejects_mismatched_prime_sets(self):
         fam = make_family(T23, EMPTY, blocks=[PrimeSet.finite([2]), PrimeSet.finite([3])])
@@ -538,8 +627,9 @@ class TestFracture:
         sq = two_block_square(FGModule.free(T23, 1))
         assert sq.block_indices == (0, 1)
         assert sq.core.primes == EMPTY
-        assert sq.product_at_core.ngens == 2
-        assert sq.spread.compose(sq.unscramble).equal_map(sq.spread)
+        for i in sq.block_indices:
+            assert sq.to_local[i].target == sq.local_modules[i]
+            assert sq.to_local[i].compose(sq.local_to_core[i]).equal_map(sq.to_core)
 
     def test_singleton_family_materializes(self):
         fam = make_family(T23, EMPTY)
@@ -554,6 +644,27 @@ class TestFracture:
         assert report.injective_blocks == {0: False, 1: True}
         assert report.product_kernel_trivial
         assert not report.all_injective()
+
+    def test_product_kernel_sees_a_lossy_localization(self, monkeypatch):
+        # A localize that also kills generator 0 loses the free line at every
+        # block, so G -> (+)_i G_{T_i} gets a kernel.
+        sq = two_block_square(FGModule.from_parts(T23, 1, [4]))
+        localize = FGModule.localize
+
+        def lossy(self, sub):
+            target, _ = localize(self, sub)
+            kill = (1,) + (0,) * (self.ngens - 1)
+            killed = FGModule(sub, target.relations + (kill,), self.ngens)
+            return killed, ModuleMap(self, killed, identity_matrix(self.ngens))
+
+        monkeypatch.setattr(FGModule, "localize", lossy)
+        lost = {i: sq.group.localize(sq.family.block(i)) for i in sq.block_indices}
+        sq = dataclasses.replace(
+            sq,
+            local_modules={i: m for i, (m, _) in lost.items()},
+            to_local={i: f for i, (_, f) in lost.items()},
+        )
+        assert not torsion_check(sq).product_kernel_trivial
 
     def test_clean_group_is_injective_everywhere(self):
         sq = two_block_square(FGModule.free(T23, 2))
@@ -663,10 +774,10 @@ class TestMediate:
         for _ in range(15):
             coeffs = [[rng.randint(-5, 5) for _ in range(data.module.ngens)] for _ in range(2)]
             z = FGModule.free(T23, 2)
-            cone_core = ModuleMap(z, sq.core, [data.to_core.apply_row(c) for c in coeffs])
+            cone_core = ModuleMap(z, sq.core, [apply_row(data.to_core, c) for c in coeffs])
             legs = {
                 i: ModuleMap(z, sq.local_modules[i],
-                             [data.projections[i].apply_row(c) for c in coeffs])
+                             [apply_row(data.projections[i], c) for c in coeffs])
                 for i in sq.block_indices
             }
             m = mediate(data, cone_core, legs)

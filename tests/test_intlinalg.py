@@ -11,7 +11,6 @@ from genuskit.intlinalg import (
     identity_matrix,
     invert_rational,
     invert_unimodular,
-    lattice_contains,
     lattice_equal,
     left_kernel_basis,
     mat_det,
@@ -21,7 +20,7 @@ from genuskit.intlinalg import (
     smith_normal_form,
 )
 
-from conftest import random_matrix
+from conftest import lattice_contains, random_matrix
 
 
 def smith_diagonal(a):
