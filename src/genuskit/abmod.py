@@ -367,7 +367,9 @@ def mixed_kernel(sources, targets, blocks, extra_active: int = 1) -> MixedKernel
     membership in each target's relation span, and reads off a generator
     lattice.  The level is deepened until the lattice stabilizes;
     ``extra_active`` feeds known-relevant denominators into the initial
-    level so the loop usually finishes first try.
+    level so the loop usually finishes first try.  A lattice still moving
+    after eight deepenings raises ``DomainError`` listing the levels tried;
+    a source relation outside the lattice raises ``VerificationError``.
     """
     union = PrimeSet.finite([])
     for m in sources:
