@@ -370,6 +370,8 @@ def mixed_kernel(sources, targets, blocks, extra_active: int = 1) -> MixedKernel
     level so the loop usually finishes first try.  A lattice still moving
     after eight deepenings raises ``DomainError`` listing the levels tried;
     a source relation outside the lattice raises ``VerificationError``.
+    The kernel's relations come back in Hermite form: the relation lattice
+    is fixed by the kernel's generators, so its printed basis is too.
     """
     union = PrimeSet.finite([])
     for m in sources:
@@ -434,7 +436,7 @@ def mixed_kernel(sources, targets, blocks, extra_active: int = 1) -> MixedKernel
                 f"generator span at level {w}"
             )
         relations.append(coords)
-    kernel = FGModule(union, relations, len(b_sum))
+    kernel = FGModule(union, hnf_rows(relations), len(b_sum))
 
     inclusions = [
         ModuleMap._from_scaled(

@@ -304,7 +304,7 @@ def _suite_111(seed, samples, prime_max):
         report = torsion_check(square)
         torsion_blocks += sum(1 for parts in report.per_block.values() if parts)
         if not report.product_kernel_trivial:
-            failures.append(f"sample {i}: the unscrambling map has a nonzero kernel")
+            failures.append(f"sample {i}: G has a nonzero kernel into its block localizations")
         for b, parts in report.per_block.items():
             if report.injective_blocks[b] != (not parts):
                 failures.append(f"sample {i}: block {b} torsion bookkeeping disagrees")
@@ -314,7 +314,9 @@ def _suite_111(seed, samples, prime_max):
         "failures": failures,
     }, [
         f"{samples} random squares, {torsion_blocks} blocks carried residual torsion",
-        "every unscrambling kernel was zero" if not failures else f"{len(failures)} failures",
+        "every kernel of G into its block localizations was zero"
+        if not failures
+        else f"{len(failures)} failures",
     ]
 
 

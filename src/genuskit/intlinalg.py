@@ -12,10 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def mat_copy(a):
-    return [list(row) for row in a]
-
-
 def identity_matrix(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -142,101 +138,49 @@ def rational_row_solve(rows, v):
     return c
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(m, dst, src, k):
-    """row[dst] += k * row[src]"""
-    m[dst] = [x + k * y for x, y in zip(m[dst], m[src])]
-
-
-def _add_col(m, dst, src, k):
-    for row in m:
-        row[dst] += k * row[src]
-
-
 def smith_normal_form(a):
     """Smith normal form with transforms: returns (D, L, R) with L a R = D.
 
     L and R are unimodular over the integers, D is diagonal with
-    d_1 | d_2 | ... and nonnegative entries.  The pivot at each step is the
-    smallest nonzero entry in absolute value, ties broken by lowest
-    (row, col); this keeps runs reproducible.
+    d_1 | d_2 | ... and nonnegative entries.  Hermite passes alternate
+    until the matrix is diagonal: a row pass carries L as extra columns,
+    and a column pass on the transpose carries the rows of R^T.  Where
+    some d_i does not divide a later d_j, column j is added to column i
+    and the passes resume.  Every step is ``_hermite``, which keeps the
+    transform entries small (Kannan-Bachem 1979).
     """
-    d = mat_copy(a)
-    rows = len(d)
-    cols = len(d[0]) if rows else 0
-    left = identity_matrix(rows)
-    right = identity_matrix(cols)
-
-    def pick_pivot(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(d[i][j])
-                if x and (best is None or x < best[0]):
-                    best = (x, i, j)
-        return best
-
-    t = 0
-    while t < min(rows, cols):
-        found = pick_pivot(t)
-        if found is None:
-            break
-        _, pi, pj = found
-        if pi != t:
-            _swap_rows(d, t, pi)
-            _swap_rows(left, t, pi)
-        if pj != t:
-            _swap_cols(d, t, pj)
-            _swap_cols(right, t, pj)
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            left[t] = [-x for x in left[t]]
-
-        dirty = False
-        for i in range(t + 1, rows):
-            if d[i][t] == 0:
+    rows, cols = len(a), len(a[0]) if a else 0
+    d, left, right_t = a, identity_matrix(rows), identity_matrix(cols)
+    while True:
+        d, left = _hermite_pass(d, left)
+        if not _is_diagonal(d):
+            dt, right_t = _hermite_pass(_transpose(d), right_t)
+            d = _transpose(dt)
+            if not _is_diagonal(d):
                 continue
-            q = d[i][t] // d[t][t]
-            _add_row(d, i, t, -q)
-            _add_row(left, i, t, -q)
-            if d[i][t]:
-                dirty = True
-        for j in range(t + 1, cols):
-            if d[t][j] == 0:
-                continue
-            q = d[t][j] // d[t][t]
-            _add_col(d, j, t, -q)
-            _add_col(right, j, t, -q)
-            if d[t][j]:
-                dirty = True
-        if dirty:
-            continue  # remainders appeared; re-pick a smaller pivot
+        n = min(rows, cols)
+        pairs = ((i, j) for i in range(n) for j in range(i + 1, n) if d[i][i] and d[j][j] % d[i][i])
+        i, j = next(pairs, (None, None))
+        if i is None:
+            return d, left, _transpose(right_t)
+        d[j][i] = d[j][j]
+        right_t[i] = [x + y for x, y in zip(right_t[i], right_t[j])]
 
-        # pivot now divides nothing in its row/col; enforce divisibility
-        # into the remaining interior before moving on.
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            _add_row(d, t, offender, 1)
-            _add_row(left, t, offender, 1)
-            continue
-        t += 1
 
-    return d, left, right
+def _hermite_pass(m, carry):
+    """Rows of m in Hermite form, zero rows last, with the rows of carry riding along."""
+    cols = len(m[0]) if m else 0
+    pivots, vanished = _hermite([list(row) + extra for row, extra in zip(m, carry)], cols)
+    done = pivots + vanished
+    return [row[:cols] for row in done], [row[cols:] for row in done]
+
+
+def _transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def _is_diagonal(m):
+    return not any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j)
 
 
 def left_kernel_basis(a):
@@ -264,11 +208,8 @@ def hnf_with_transform(a):
     U is unimodular over the integers and has one row per input row; the
     first len(H) rows of U @ a equal H and the rest are zero.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(a)]
-    pivots, vanished = _hermite(aug, cols)
-    return [row[:cols] for row in pivots], [row[cols:] for row in pivots + vanished]
+    h, u = _hermite_pass(a, identity_matrix(len(a)))
+    return [row for row in h if any(row)], u
 
 
 def _hermite(a, cols):

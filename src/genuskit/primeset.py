@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import FamilyError
+from .errors import DomainError, FamilyError
 
 PRIMALITY_LIMIT = 2**64
 
@@ -103,7 +103,10 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer as ``{prime: exponent}``."""
+    """Prime factorization of a positive integer as ``{prime: exponent}``.
+
+    A cofactor of ``PRIMALITY_LIMIT`` or more raises ``DomainError`` naming it.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"can only factor a positive integer, got {n!r}")
     factors: dict[int, int] = {}
@@ -118,6 +121,8 @@ def factorize(n: int) -> dict[int, int]:
     stack = [n]
     while stack:
         m = stack.pop()
+        if m >= PRIMALITY_LIMIT:
+            raise DomainError(f"factoring is limited to cofactors below 2**64, got {m}")
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue

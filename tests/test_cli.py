@@ -1,9 +1,15 @@
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 import genuskit.cli as cli
+from genuskit.dsl import read_value
+from genuskit.intlinalg import hnf_rows
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run(capsys, *argv):
@@ -96,11 +102,12 @@ class TestGenus:
 
     def test_large_relation_entry_is_named(self, capsys):
         # The kernel level factors each Smith entry on its own, so past the
-        # primality limit the error names the entry, not a product of them.
+        # primality limit the error names the entry, not a product of them,
+        # and exits as out of scope rather than malformed.
         p = 2**127 - 1
         module = f"module(T=all; rel=[[{p},0]])"
         code, _, err = run(capsys, "genus", f"{module}, {module}, {{}}")
-        assert code == 2
+        assert code == 3
         assert err.strip().endswith(f"got {p}")
 
     def test_large_relation_entry_over_finitely_many_primes(self, capsys):
@@ -211,6 +218,40 @@ class TestDeterminism:
                            "--format", "json")
         assert code == 0
         assert json.loads(out)["seed"] == 11
+
+
+class TestCanonicalRelations:
+    """Kernel modules are printed with their relations in Hermite form, so the
+    output does not depend on which basis the Smith transforms happened to give."""
+
+    def assert_hermite(self, text):
+        relations = [list(row) for row in read_value(text).relations]
+        assert hnf_rows(relations) == relations, text
+
+    def test_readme_pullback_and_genus_witness(self, capsys):
+        code, out, _ = run(
+            capsys, "pullback", "--format", "json",
+            "modpull(module(T={2,3}; rel=[[4,0]]); blocks({2,3}, {}; {2}, {3}); "
+            "[[1/2,0],[0,1]], [[3,0],[0,1]])",
+        )
+        assert code == 0
+        self.assert_hermite(json.loads(out)["module"])
+        code, out, _ = run(
+            capsys, "genus", "--format", "json",
+            "module(T={2,3}; rel=[[4,0]]), module(T={2,3}; rel=[[0,4]]), {}",
+        )
+        assert code == 0
+        self.assert_hermite(json.loads(out)["witness_module"])
+
+    def test_bench_recipe_pullbacks(self, capsys, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_DIR / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for op in workloads.ModpullLadder(701).round(0):
+            code, out, _ = run(capsys, "pullback", op.text, "--format", "json")
+            assert code == 0, op.text
+            self.assert_hermite(json.loads(out)["module"])
 
 
 class TestConfig:

@@ -98,6 +98,34 @@ class TestSmithNormalForm:
         assert smith_diagonal([[0, 0], [0, 0]]) == [0, 0]
         assert smith_diagonal(identity_matrix(3)) == [1, 1, 1]
 
+    def test_matches_sympy_invariant_factors(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(4649)
+        for k in range(120):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            a = random_matrix(rng, rows, cols, -40, 40)
+            if k % 3 == 1 and rows > 1:
+                a[-1] = [x - 3 * y for x, y in zip(a[0], a[1 % rows])]  # rank-deficient
+            if k % 3 == 2:
+                for i in rng.sample(range(rows), rng.randint(1, rows)):
+                    a[i] = [0] * cols
+            d, left, right = smith_normal_form(a)
+            assert mat_mul(mat_mul(left, a), right) == d
+            assert abs(mat_det(left)) == 1
+            assert abs(mat_det(right)) == 1
+            expected = invariant_factors(sympy.Matrix(a), domain=sympy.ZZ)
+            assert smith_diagonal(a) == [abs(int(x)) for x in expected], a
+
+    def test_transform_entries_stay_small(self):
+        # A smallest-pivot elimination reaches 4512 bits on this matrix.
+        a = random_matrix(random.Random(40), 40, 40, -9, 9)
+        d, left, right = smith_normal_form(a)
+        assert mat_mul(mat_mul(left, a), right) == d
+        bits = max(abs(x).bit_length() for m in (left, right) for row in m for x in row)
+        assert bits <= 451
+
 
 class TestKernels:
     def test_simple_kernel(self):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from genuskit.errors import FamilyError
+from genuskit.errors import DomainError, FamilyError
 from genuskit.primeset import (
     ALL_PRIMES,
     EMPTY_SET,
@@ -77,6 +77,11 @@ class TestFactorize:
                 assert is_prime(p)
                 prod *= p**e
             assert prod == n
+
+    def test_cofactor_past_the_primality_limit_is_out_of_scope(self):
+        p = 2**127 - 1
+        with pytest.raises(DomainError, match=f"got {p}$"):
+            factorize(12 * p)
 
     def test_rejects_nonpositive(self):
         for bad in (0, -6):
