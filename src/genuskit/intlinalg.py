@@ -146,8 +146,9 @@ def smith_normal_form(a):
     until the matrix is diagonal: a row pass carries L as extra columns,
     and a column pass on the transpose carries the rows of R^T.  Where
     some d_i does not divide a later d_j, column j is added to column i
-    and the passes resume.  Every step is ``_hermite``, which keeps the
-    transform entries small (Kannan-Bachem 1979).
+    and the passes resume.  All elimination is ``_hermite``; going through
+    Hermite forms keeps the transform entries far smaller than pivoting on
+    the smallest entry does (Kannan-Bachem 1979).
     """
     rows, cols = len(a), len(a[0]) if a else 0
     d, left, right_t = a, identity_matrix(rows), identity_matrix(cols)
