@@ -160,10 +160,7 @@ class FGModule:
 
     def iso_class(self):
         """(free rank, sorted multiset of prime-power cyclic orders)."""
-        pieces = []
-        for s in self.invariants:
-            for p, e in factorize(s).items():
-                pieces.append((p, e))
+        pieces = [pe for s in self.invariants for pe in _valuations(s, self.primes).items()]
         return (self.free_rank, tuple(sorted(pieces)))
 
     def is_zero(self) -> bool:
@@ -345,10 +342,10 @@ def _valuations(n: int, primes: PrimeSet) -> dict:
     """``{p: e}`` with e = v_p(n) > 0, over the primes of ``primes``.
 
     A finite set needs only division by its members; a cofinite one needs
-    the factorization of n.
+    the factorization of n with the excluded primes divided out.
     """
     if primes.cofinite:
-        return {p: e for p, e in factorize(n).items() if primes._contains_known_prime(p)}
+        return factorize(xpart(n, primes))
     return {p: valuation(n, p) for p in primes.members if n % p == 0}
 
 
@@ -581,7 +578,7 @@ def _cokernel_killed(f: ModuleMap, at: PrimeSet):
             if i >= rank or (i < len(diag) and diag[i] == 0):
                 return False, f"generator {j} survives with infinite order at coordinate {i}"
             d = diag[i]
-            for p, e in factorize(xpart(d, target.primes)).items():
+            for p, e in _valuations(d, target.primes).items():
                 have = valuation(c, p)
                 if at._contains_known_prime(p):
                     if have < e:
@@ -866,9 +863,8 @@ def _matrix_bound(square: FractureSquare, twists, inverse_only: bool) -> XNumber
                         continue
                     if pos < rank and xpart(diag[pos], S) == 1:
                         continue  # this coordinate is invisible at the core
-                    for p, e in factorize(d).items():
-                        if res._contains_known_prime(p):
-                            worst[p] = max(worst.get(p, 0), e)
+                    for p, e in _valuations(d, res).items():
+                        worst[p] = max(worst.get(p, 0), e)
         for p, e in worst.items():
             s *= p**e
     return XNumber(s, S)

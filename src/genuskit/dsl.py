@@ -20,9 +20,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abmod import FGModule
-from .errors import FamilyError, GenusKitError
+from .errors import DomainError, FamilyError, GenusKitError
 from .heis import HeisElement, HeisSubgroup
-from .primeset import ALL_PRIMES, PartitionFamily, PrimeSet, is_prime, make_family
+from .primeset import (
+    ALL_PRIMES,
+    PRIMALITY_LIMIT,
+    PartitionFamily,
+    PrimeSet,
+    is_prime,
+    make_family,
+)
 from .rank1 import AutFamily1, ConstantRational, Identity, IndexPrimePower, make_aut
 
 Span = tuple  # ((line, col) of first char, (line, col) just past the last)
@@ -450,6 +457,17 @@ def _rational(tree: SyntaxTree) -> Fraction:
     return -value if neg else value
 
 
+def _within_primality_limit(n: int, span: Span) -> int:
+    """n itself; a well-formed prime past the primality test is out of scope."""
+    if n >= PRIMALITY_LIMIT:
+        line, col = span[0]
+        raise DomainError(
+            f"line {line}, column {col}: primality testing is limited to inputs "
+            f"below 2**64, got {n}"
+        )
+    return n
+
+
 def _primeset(tree: SyntaxTree) -> PrimeSet:
     if tree.kind == "primeset_all":
         removed = tree.children[0]
@@ -457,10 +475,12 @@ def _primeset(tree: SyntaxTree) -> PrimeSet:
             return ALL_PRIMES
         if removed.kind != "primeset_finite":
             raise ElaborateError("only a finite set of primes can be removed", removed.span)
-        return PrimeSet.all_except(p.children[0] for p in removed.children)
+        return PrimeSet.all_except(
+            _within_primality_limit(p.children[0], p.span) for p in removed.children
+        )
     members = []
     for leaf in tree.children:
-        p = leaf.children[0]
+        p = _within_primality_limit(leaf.children[0], leaf.span)
         if not is_prime(p):
             raise ElaborateError(f"{p} is not prime", leaf.span)
         members.append(p)
@@ -495,6 +515,8 @@ def _aut(tree: SyntaxTree) -> AutFamily1:
     exceptions = {}
     for exc_tree in tree.children[2]:
         index = exc_tree.children[0].children[0]
+        if family.is_singleton_shape:
+            _within_primality_limit(index, exc_tree.span)
         value = _rational(exc_tree.children[1])
         if index in exceptions:
             raise ElaborateError(f"block {index} is listed twice", exc_tree.span)

@@ -6,18 +6,21 @@ multiplication (a,b,c)(a',b',c') = (a+a', b+b', c+c'+ab').  The group is
 nilpotent of class 2: commutators land in the center {(0,0,c)} and the
 cross product of the two projections measures them exactly.
 
-Finitely generated subgroups are tamed by a staircase reduction of the
-projection lattice that performs every row operation as an honest group
-multiplication, so each reduced row arrives with a word in the original
-generators.  Membership then splits into an integer lattice solve for the
-projection and a divisibility test against the cyclic central lattice,
-and positive answers carry a word certificate that re-multiplies to the
-queried element.
+Finitely generated subgroups are reduced through the Hermite transform of
+their projection lattice.  With U P = [H; 0] for the projection rows P,
+row i of U lists the exponent of each generator in a lift of row i, so
+every lift is a flat word in the original generators.  The lifts past the
+rank are central; together with the commutator of the two basis lifts
+they span the cyclic central lattice, whose generator and Bezout word come
+from the Hermite transform of their central values.  Membership then
+splits into back substitution down H for the projection and a
+divisibility test against the central generator, and positive answers
+carry a word certificate that re-multiplies to the queried element.
 
-Power nodes in a certificate hold their sub-words by reference, so
-certificates share sub-words, and ``evaluate_word`` replays each distinct
-sub-word once: replay is linear in the number of distinct sub-words rather
-than in the size of the expanded tree.
+A certificate is a power of each basis lift followed by a power of the
+central generator's word, so its size does not grow with the entries.
+Power nodes hold their sub-words by reference, and ``evaluate_word``
+replays each distinct sub-word once.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import Check, VerificationError
+from .intlinalg import hnf_with_transform, row_span_solve
 from .primeset import PrimeSet, factorize, is_x_number
 
 
@@ -95,9 +99,10 @@ def commutator(x: HeisElement, y: HeisElement) -> HeisElement:
 
 
 # A word is a tuple of (generator index, exponent) leaves and ("pow", word, n)
-# nodes.  Power nodes hold their sub-word by reference, so words built from
-# one another share sub-tuples and form a DAG whose expanded tree can be far
-# larger than the number of distinct tuples in it.
+# nodes.  The lifts of a subgroup are flat words, one leaf per generator with
+# a nonzero exponent in a row of the Hermite transform; certificates wrap
+# those lifts in power nodes.  Power nodes hold their sub-word by reference,
+# so words share sub-tuples and form a DAG rather than a tree.
 Word = tuple
 
 
@@ -140,33 +145,6 @@ def evaluate_word(generators, word: Word, primes: PrimeSet) -> HeisElement:
     return walk(word)
 
 
-@dataclass(frozen=True)
-class _Lift:
-    element: HeisElement
-    word: Word
-
-    def times(self, other: "_Lift", exp: int) -> "_Lift":
-        return _Lift(self.element * (other.element**exp), self.word + _word_pow(other.word, exp))
-
-    def inverse(self) -> "_Lift":
-        return _Lift(self.element.inverse(), _word_pow(self.word, -1))
-
-
-def _ext_gcd(a: int, b: int):
-    """(g, x, y) with a*x + b*y == g and g == gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 @dataclass
 class Membership:
     member: bool
@@ -183,10 +161,12 @@ class Membership:
 class HeisSubgroup:
     """Subgroup generated by finitely many elements, with certificates.
 
-    The projection lattice keeps lifted generators U (and V) whose words
-    are tracked through the reduction; the intersection with the center is
-    the cyclic lattice spanned by the leftover central lifts together with
-    the commutator of U and V.
+    The Hermite form H of the projection rows (scaled to integers) is the
+    projection basis, and each row of its transform lifts to a flat
+    exponent word: the first rank rows lift the basis, the rest lift to
+    central elements.  The intersection with the center is the cyclic
+    lattice spanned by those central lifts and the commutator of the two
+    basis lifts.
     """
 
     def __init__(self, primes: PrimeSet, generators):
@@ -202,78 +182,41 @@ class HeisSubgroup:
                 raise VerificationError(f"generator {idx} failed its own membership round trip")
 
     def _reduce(self):
-        denom = 1
-        for g in self.generators:
-            denom = lcm(denom, lcm(g.a.denominator, g.b.denominator))
-        self._denom = denom
-        rows = [[int(g.a * denom), int(g.b * denom)] for g in self.generators]
-        lifts = [_Lift(g, ((i, 1),)) for i, g in enumerate(self.generators)]
-
-        r = 0
-        for col in (0, 1):
-            while True:
-                live = [i for i in range(r, len(rows)) if rows[i][col] != 0]
-                if not live:
-                    break
-                best = min(live, key=lambda i: abs(rows[i][col]))
-                rows[r], rows[best] = rows[best], rows[r]
-                lifts[r], lifts[best] = lifts[best], lifts[r]
-                clean = True
-                for i in range(r + 1, len(rows)):
-                    if rows[i][col] == 0:
-                        continue
-                    q = rows[i][col] // rows[r][col]
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    lifts[i] = lifts[i].times(lifts[r], -q)
-                    if rows[i][col] != 0:
-                        clean = False
-                if clean:
-                    break
-            if r < len(rows) and rows[r][col] != 0:
-                if rows[r][col] < 0:
-                    rows[r] = [-x for x in rows[r]]
-                    lifts[r] = lifts[r].inverse()
-                r += 1
-
-        self._rank = r
-        self._rows = [rows[i] for i in range(r)]
-        self._basis = [lifts[i] for i in range(r)]
-        central = [lifts[i] for i in range(r, len(rows))]
-        for i, lift in enumerate(central, start=r):
-            if not lift.element.is_central:
+        gens, primes = self.generators, self.primes
+        self._denom = lcm(1, *(lcm(g.a.denominator, g.b.denominator) for g in gens))
+        rows = [[int(g.a * self._denom), int(g.b * self._denom)] for g in gens]
+        self._rows, transform = hnf_with_transform(rows)
+        r = len(self._rows)
+        # row i of the transform holds the exponents of the lift of row i
+        words = [tuple((k, e) for k, e in enumerate(row) if e) for row in transform]
+        lifts = [(evaluate_word(gens, word, primes), word) for word in words]
+        self._basis = lifts[:r]
+        for i, (element, _) in enumerate(lifts[r:], start=r):
+            if not element.is_central:
                 raise VerificationError(
-                    f"lift {i} ({lift.element}) left the staircase with a nonzero projection"
+                    f"lift {i} ({element}) left the Hermite transform with a nonzero projection"
                 )
 
-        center_gens = [(lift.element.c, lift.word) for lift in central if lift.element.c != 0]
+        center_gens = [(element.c, word) for element, word in lifts[r:] if element.c != 0]
         if r == 2:
-            u, v = self._basis
-            comm = commutator(u.element, v.element)
+            (u, uw), (v, vw) = self._basis
+            comm = commutator(u, v)
             if comm.c != 0:
-                word = (
-                    _word_pow(u.word, -1)
-                    + _word_pow(v.word, -1)
-                    + u.word
-                    + v.word
-                )
-                center_gens.append((comm.c, word))
+                center_gens.append((comm.c, _word_pow(uw, -1) + _word_pow(vw, -1) + uw + vw))
 
-        gen_value = Fraction(0)
-        gen_word: Word = ()
-        for value, word in center_gens:
-            if gen_value == 0:
-                gen_value, gen_word = abs(value), word if value > 0 else _word_pow(word, -1)
-                continue
-            q = lcm(gen_value.denominator, value.denominator)
-            g, x, y = _ext_gcd(int(gen_value * q), int(value * q))
-            combined = _word_pow(gen_word, x) + _word_pow(word, y)
-            gen_value, gen_word = Fraction(g, q), combined
-        self._center_value = gen_value
-        self._center_word = gen_word
+        # the central lattice is cyclic: its Hermite form is one generator,
+        # and the transform's first row is the Bezout word for it
+        q = lcm(1, *(value.denominator for value, _ in center_gens))
+        column, bezout = hnf_with_transform([[int(value * q)] for value, _ in center_gens])
+        self._center_value, self._center_word = Fraction(0), ()
+        if column:
+            self._center_value = Fraction(column[0][0], q)
+            for (_, word), n in zip(center_gens, bezout[0]):
+                self._center_word += _word_pow(word, n)
 
     @property
     def rank(self) -> int:
-        return self._rank
+        return len(self._rows)
 
     @property
     def center_generator(self) -> Fraction:
@@ -281,22 +224,14 @@ class HeisSubgroup:
         return self._center_value
 
     def basis_elements(self):
-        return tuple(lift.element for lift in self._basis)
+        return tuple(element for element, _ in self._basis)
 
     def _solve_projection(self, a: Fraction, b: Fraction):
-        target = [a * self._denom, b * self._denom]
-        exps = []
-        for i in range(self._rank):
-            col = 0 if self._rows[i][0] != 0 else 1
-            # rows form a staircase, so earlier pivots sit in earlier columns
-            coeff = Fraction(target[col], self._rows[i][col])
-            if coeff.denominator != 1:
-                return None
-            exps.append(int(coeff))
-            target = [t - int(coeff) * x for t, x in zip(target, self._rows[i])]
-        if any(target):
+        target = (a * self._denom, b * self._denom)
+        if any(t.denominator != 1 for t in target):
             return None
-        return exps + [0] * (2 - self._rank)
+        exps = row_span_solve(self._rows, [int(t) for t in target])
+        return None if exps is None else exps + [0] * (2 - self.rank)
 
     def membership(self, g: HeisElement) -> Membership:
         if g.primes != self.primes:
@@ -305,31 +240,27 @@ class HeisSubgroup:
         if solved is None:
             return Membership(False, None, None, None, None,
                               "projection is outside the generator lattice")
-        alpha, beta = solved
-        base = HeisElement.identity(self.primes)
-        word: Word = ()
-        if self._rank >= 1:
-            base = self._basis[0].element ** alpha
-            word = _word_pow(self._basis[0].word, alpha)
-        if self._rank == 2:
-            base = base * (self._basis[1].element ** beta)
-            word = word + _word_pow(self._basis[1].word, beta)
+        exps = tuple(solved)
+        base, word = HeisElement.identity(self.primes), ()
+        for (element, lift), n in zip(self._basis, exps):
+            base = base * element**n
+            word += _word_pow(lift, n)
         offset = g.c - base.c
 
         if offset == 0:
             k = 0
         elif self._center_value == 0:
-            return Membership(False, (alpha, beta), offset, None, None,
+            return Membership(False, exps, offset, None, None,
                               "central offset in a trivial central lattice")
         else:
             ratio = offset / self._center_value
             if ratio.denominator != 1:
-                return Membership(False, (alpha, beta), offset, None, None,
+                return Membership(False, exps, offset, None, None,
                                   f"central offset {offset} is not a multiple of "
                                   f"{self._center_value}")
             k = int(ratio)
         word = word + _word_pow(self._center_word, k)
-        return Membership(True, (alpha, beta), offset, k, word, "member")
+        return Membership(True, exps, offset, k, word, "member")
 
     def __contains__(self, g: HeisElement) -> bool:
         return self.membership(g).member

@@ -43,6 +43,13 @@ class TestBounded:
         assert code == 2
         assert "error:" in err
 
+    def test_block_index_past_the_primality_limit_is_out_of_scope(self, capsys):
+        # a well-formed index that primality testing cannot decide exits 3, not 2
+        p = 2**127 - 1
+        code, _, err = run(capsys, "bounded", f"aut(singletons(all, {{}}); tail=id; {p} -> 3)")
+        assert code == 3
+        assert err.strip().endswith(f"got {p}")
+
 
 class TestPullback:
     def test_rank_one_heights(self, capsys):
@@ -116,6 +123,13 @@ class TestGenus:
         code, out, _ = run(capsys, "genus", f"{module}, {module}, {{}}")
         assert code == 0
         assert "projections certified: yes" in out
+
+    def test_prime_set_member_past_the_primality_limit_is_out_of_scope(self, capsys):
+        p = 2**127 - 1
+        module = f"module(T={{{p}}}; rel=[[1,0]])"
+        code, _, err = run(capsys, "genus", f"{module}, {module}, {{}}")
+        assert code == 3
+        assert err.strip().endswith(f"got {p}")
 
     def test_arity_is_checked(self, capsys):
         code, _, err = run(capsys, "genus", "module(T={2}; gens=1; rel=[]), {2}")

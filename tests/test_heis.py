@@ -1,5 +1,7 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,6 +16,7 @@ from genuskit.heis import (
     minimal_power_into,
     power_closure_check,
 )
+from genuskit.heis import _word_pow
 from genuskit.primeset import ALL_PRIMES, PrimeSet
 
 T23 = PrimeSet.finite([2, 3])
@@ -209,6 +212,212 @@ class TestSubgroup:
             assert not h.membership(bad)
             found += 1
         assert found > 10
+
+
+# The Euclidean staircase that reduced subgroups before the Hermite
+# transform did, kept as the reference the reduction is tested against.
+# Every row operation is a group multiplication, so each reduced row carries
+# a word in the generators.
+
+
+@dataclass(frozen=True)
+class _Lift:
+    element: HeisElement
+    word: tuple
+
+    def times(self, other, exp):
+        return _Lift(self.element * (other.element**exp), self.word + _word_pow(other.word, exp))
+
+    def inverse(self):
+        return _Lift(self.element.inverse(), _word_pow(self.word, -1))
+
+
+def _ext_gcd(a, b):
+    old_r, r, old_x, x, old_y, y = a, b, 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
+class StaircaseSubgroup:
+    def __init__(self, primes, generators):
+        self.primes = primes
+        self.generators = tuple(generators)
+        denom = 1
+        for g in self.generators:
+            denom = lcm(denom, g.a.denominator, g.b.denominator)
+        self.denom = denom
+        rows = [[int(g.a * denom), int(g.b * denom)] for g in self.generators]
+        lifts = [_Lift(g, ((i, 1),)) for i, g in enumerate(self.generators)]
+        r = 0
+        for col in (0, 1):
+            while True:
+                live = [i for i in range(r, len(rows)) if rows[i][col] != 0]
+                if not live:
+                    break
+                best = min(live, key=lambda i: abs(rows[i][col]))
+                rows[r], rows[best] = rows[best], rows[r]
+                lifts[r], lifts[best] = lifts[best], lifts[r]
+                clean = True
+                for i in range(r + 1, len(rows)):
+                    if rows[i][col] == 0:
+                        continue
+                    q = rows[i][col] // rows[r][col]
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                    lifts[i] = lifts[i].times(lifts[r], -q)
+                    if rows[i][col] != 0:
+                        clean = False
+                if clean:
+                    break
+            if r < len(rows) and rows[r][col] != 0:
+                if rows[r][col] < 0:
+                    rows[r] = [-x for x in rows[r]]
+                    lifts[r] = lifts[r].inverse()
+                r += 1
+        self.rank, self.rows, self.basis = r, rows[:r], lifts[:r]
+        center = [(lift.element.c, lift.word) for lift in lifts[r:] if lift.element.c != 0]
+        if r == 2:
+            u, v = self.basis
+            comm = commutator(u.element, v.element)
+            if comm.c != 0:
+                word = _word_pow(u.word, -1) + _word_pow(v.word, -1) + u.word + v.word
+                center.append((comm.c, word))
+        value, word = Fraction(0), ()
+        for c, w in center:
+            if value == 0:
+                value, word = abs(c), w if c > 0 else _word_pow(w, -1)
+                continue
+            q = lcm(value.denominator, c.denominator)
+            g, x, y = _ext_gcd(int(value * q), int(c * q))
+            value, word = Fraction(g, q), _word_pow(word, x) + _word_pow(w, y)
+        self.center_generator, self.center_word = value, word
+
+    def membership(self, g):
+        """(member, alpha, word); alpha is None off the projection lattice."""
+        target = [g.a * self.denom, g.b * self.denom]
+        exps = []
+        for row in self.rows:
+            col = 0 if row[0] != 0 else 1
+            coeff = Fraction(target[col], row[col])
+            if coeff.denominator != 1:
+                return False, None, None
+            exps.append(int(coeff))
+            target = [t - int(coeff) * x for t, x in zip(target, row)]
+        if any(target):
+            return False, None, None
+        exps += [0] * (2 - self.rank)
+        base, word = HeisElement.identity(self.primes), ()
+        for lift, n in zip(self.basis, exps):
+            base = base * lift.element**n
+            word = word + _word_pow(lift.word, n)
+        offset = g.c - base.c
+        if offset == 0:
+            return True, exps[0], word
+        if self.center_generator == 0 or (offset / self.center_generator).denominator != 1:
+            return False, exps[0], None
+        k = int(offset / self.center_generator)
+        return True, exps[0], word + _word_pow(self.center_word, k)
+
+
+def expanded_nodes(word, memo):
+    """One node per leaf and per power node of the expanded word tree."""
+    if id(word) not in memo:
+        total = sum(1 + (expanded_nodes(item[1], memo) if item[0] == "pow" else 0)
+                    for item in word)
+        memo[id(word)] = (total, word)  # keeps the tuple alive, so its id stays unique
+    return memo[id(word)][0]
+
+
+def reference_instance(rng):
+    """Generators over T = all or over {2,3} with denominators 5 and 7,
+    and the sampler of their coordinates.
+
+    The shapes cover every rank: generic projections, collinear ones, and
+    central ones, with zero generators mixed in.
+    """
+    primes = rng.choice([ALL_PRIMES, T23])
+    dens = [1] if primes == ALL_PRIMES else [1, 5, 7]
+
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.choice(dens))
+
+    shape = rng.choice(["generic", "collinear", "central"])
+    direction = (q(), q())
+    gens = []
+    for _ in range(rng.randint(0, 4)):
+        if shape == "generic":
+            a, b = q(), q()
+        elif shape == "collinear":
+            t = rng.randint(-4, 4)
+            a, b = t * direction[0], t * direction[1]
+        else:
+            a, b = Fraction(0), Fraction(0)
+        gens.append(HeisElement(primes, a, b, q()))
+    if rng.random() < 0.3:
+        gens.insert(rng.randint(0, len(gens)), HeisElement.identity(primes))
+    return primes, gens, q
+
+
+class TestAgainstStaircase:
+    def test_seeded_subgroups_agree(self):
+        rng = random.Random(808)
+        ranks, local, answers = set(), 0, 0
+        for _ in range(300):
+            primes, gens, q = reference_instance(rng)
+            h = HeisSubgroup(primes, gens)
+            ref = StaircaseSubgroup(primes, gens)
+            assert h.rank == ref.rank
+            assert h.center_generator == ref.center_generator
+            ranks.add(h.rank)
+            local += primes == T23
+            queries = []
+            for _ in range(2):
+                g = HeisElement.identity(primes)
+                for _ in range(rng.randint(0, 5)):
+                    if gens:
+                        g = g * gens[rng.randrange(len(gens))] ** rng.choice([-2, -1, 1, 2])
+                queries.append(g)
+                shift = h.center_generator * rng.randint(-2, 2) + q()
+                queries.append(g * HeisElement(primes, Fraction(0), Fraction(0), shift))
+                queries.append(g * HeisElement(primes, Fraction(1), Fraction(0), Fraction(0)))
+                queries.append(HeisElement(primes, q(), q(), q()))
+            for g in queries:
+                cert = h.membership(g)
+                member, alpha, ref_word = ref.membership(g)
+                assert cert.member == member
+                assert (cert.exponents is None) == (alpha is None)
+                if alpha is not None:
+                    assert cert.exponents[0] == alpha
+                if member:
+                    answers += 1
+                    assert evaluate_word(gens, cert.word, primes) == g
+                    assert evaluate_word(gens, ref_word, primes) == g
+        assert ranks == {0, 1, 2}
+        assert 50 < local < 250
+        assert answers > 300
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_certificates_stay_small_near_a_googol(self, seed):
+        rng = random.Random(seed)
+
+        def near_googol():
+            return Fraction(rng.choice([-1, 1]) * rng.randint(5 * 10**99, 2 * 10**100))
+
+        gens = [HeisElement(ALL_PRIMES, near_googol(), near_googol(), near_googol())
+                for _ in range(3)]
+        h = HeisSubgroup(ALL_PRIMES, gens)
+        g = gens[0] * gens[1] * gens[2]
+        cert = h.membership(g)
+        assert cert
+        assert evaluate_word(gens, cert.word, ALL_PRIMES) == g
+        # counted outside the assert, whose failure report would print the word
+        nodes = expanded_nodes(cert.word, {})
+        assert nodes <= 64
 
 
 class TestLowerCentralSeries:
