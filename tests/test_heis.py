@@ -9,6 +9,7 @@ from genuskit.errors import VerificationError
 from genuskit.heis import (
     HeisElement,
     HeisSubgroup,
+    _word_pow,
     commutator,
     evaluate_word,
     localize_subgroup,
@@ -16,7 +17,6 @@ from genuskit.heis import (
     minimal_power_into,
     power_closure_check,
 )
-from genuskit.heis import _word_pow
 from genuskit.primeset import ALL_PRIMES, PrimeSet
 
 T23 = PrimeSet.finite([2, 3])
