@@ -22,6 +22,7 @@ verification that should have passed did not.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -651,7 +652,9 @@ def _add_source_arguments(parser):
     parser.add_argument("--input", default=None, metavar="FILE", help="read input from FILE (- for stdin)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: ``parse_args`` returns a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--seed", type=int, default=None)

@@ -1,10 +1,16 @@
 """Integral Heisenberg groups with localized coordinates.
 
-Elements are upper unitriangular 3x3 matrices stored as coordinate
+Elements are upper unitriangular 3x3 matrices, read as coordinate
 triples (a, b, c) over the integers localized at a prime set T, with the
 multiplication (a,b,c)(a',b',c') = (a+a', b+b', c+c'+ab').  The group is
 nilpotent of class 2: commutators land in the center {(0,0,c)} and the
 cross product of the two projections measures them exactly.
+
+An element is stored as integer exponent coordinates (A, B, C) over one
+scale d with no prime factor in T, so that (a, b, c) = (A/d, B/d, C/d^2).
+The map (a, b, c) -> (d a, d b, d^2 c) is a homomorphism into the integer
+Heisenberg group, so products, inverses and powers are integer formulas
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 8).
 
 Finitely generated subgroups are reduced through the Hermite transform of
 their projection lattice.  With U P = [H; 0] for the projection rows P,
@@ -42,51 +48,88 @@ def _check_coordinate(value: Fraction, primes: PrimeSet) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
 class HeisElement:
-    primes: PrimeSet
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    """An element (A/d, B/d, C/d^2) of the Heisenberg group over T.
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _check_coordinate(self.a, self.primes))
-        object.__setattr__(self, "b", _check_coordinate(self.b, self.primes))
-        object.__setattr__(self, "c", _check_coordinate(self.c, self.primes))
+    Two elements at one scale multiply as (A+A', B+B', C+C'+AB'); at
+    different scales both are first brought to the lcm of the two.  Every
+    construction certifies the scale with ``is_x_number``, and the public
+    constructor checks each coordinate.  ``a``, ``b`` and ``c`` read the
+    coordinates as ``Fraction``s; equality and hashing follow them, whatever
+    the scales.
+    """
+
+    __slots__ = ("_primes", "_d", "_A", "_B", "_C")
+
+    def __init__(self, primes: PrimeSet, a, b, c):
+        a, b, c = (_check_coordinate(x, primes) for x in (a, b, c))
+        d = lcm(a.denominator, b.denominator, c.denominator)
+        self._set(primes, d, a.numerator * (d // a.denominator),
+                  b.numerator * (d // b.denominator), c.numerator * (d * d // c.denominator))
+
+    def _set(self, primes: PrimeSet, d: int, A: int, B: int, C: int) -> None:
+        if not is_x_number(d, primes):
+            raise VerificationError(f"scale {d} is visible at {primes}")
+        self._primes, self._d, self._A, self._B, self._C = primes, d, A, B, C
+
+    @classmethod
+    def _scaled(cls, primes: PrimeSet, d: int, A: int, B: int, C: int) -> "HeisElement":
+        g = object.__new__(cls)
+        g._set(primes, d, A, B, C)
+        return g
 
     @classmethod
     def identity(cls, primes: PrimeSet) -> "HeisElement":
-        return cls(primes, Fraction(0), Fraction(0), Fraction(0))
+        return cls._scaled(primes, 1, 0, 0, 0)
+
+    primes = property(lambda self: self._primes)
+    a = property(lambda self: Fraction(self._A, self._d))
+    b = property(lambda self: Fraction(self._B, self._d))
+    c = property(lambda self: Fraction(self._C, self._d**2))
 
     def __mul__(self, other: "HeisElement") -> "HeisElement":
-        if self.primes != other.primes:
+        if self._primes != other._primes:
             raise ValueError("elements live over different prime sets")
-        return HeisElement(
-            self.primes,
-            self.a + other.a,
-            self.b + other.b,
-            self.c + other.c + self.a * other.b,
-        )
+        d, A, B, C = self._d, self._A, self._B, self._C
+        e, A2, B2, C2 = other._d, other._A, other._B, other._C
+        if d != e:
+            m = lcm(d, e)
+            s, t = m // d, m // e
+            d, A, B, C, A2, B2, C2 = m, s * A, s * B, s * s * C, t * A2, t * B2, t * t * C2
+        return HeisElement._scaled(self._primes, d, A + A2, B + B2, C + C2 + A * B2)
 
     def inverse(self) -> "HeisElement":
-        return HeisElement(self.primes, -self.a, -self.b, -self.c + self.a * self.b)
+        A, B = self._A, self._B
+        return HeisElement._scaled(self._primes, self._d, -A, -B, A * B - self._C)
 
     def __pow__(self, n: int) -> "HeisElement":
         n = int(n)
-        half = n * (n - 1) // 2
-        return HeisElement(self.primes, n * self.a, n * self.b, n * self.c + half * self.a * self.b)
+        A, B = self._A, self._B
+        return HeisElement._scaled(
+            self._primes, self._d, n * A, n * B, n * self._C + (n * (n - 1) // 2) * A * B
+        )
 
     @property
     def is_central(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self._A == 0 and self._B == 0
 
     def is_identity(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0
+        return self._A == 0 and self._B == 0 and self._C == 0
 
     def localize(self, sub: PrimeSet) -> "HeisElement":
-        if not sub.issubset(self.primes):
-            raise ValueError(f"{sub} is not contained in {self.primes}")
-        return HeisElement(sub, self.a, self.b, self.c)
+        if not sub.issubset(self._primes):
+            raise ValueError(f"{sub} is not contained in {self._primes}")
+        return HeisElement._scaled(sub, self._d, self._A, self._B, self._C)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HeisElement):
+            return NotImplemented
+        d, e = self._d, other._d
+        return (self._primes == other._primes and self._A * e == other._A * d
+                and self._B * e == other._B * d and self._C * e * e == other._C * d * d)
+
+    def __hash__(self):
+        return hash((self._primes, self.a, self.b, self.c))
 
     def __str__(self) -> str:
         return f"heis(T={self.primes}; {self.a},{self.b},{self.c})"

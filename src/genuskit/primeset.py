@@ -99,13 +99,14 @@ def _pollard_rho(n: int) -> int:
                 g = gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise ArithmeticError(f"failed to split {n}")
+    raise DomainError(f"Pollard's rho failed to split {n}")
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer as ``{prime: exponent}``.
 
-    A cofactor of ``PRIMALITY_LIMIT`` or more raises ``DomainError`` naming it.
+    A cofactor of ``PRIMALITY_LIMIT`` or more, or one that Pollard's rho
+    fails to split, raises ``DomainError`` naming it.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"can only factor a positive integer, got {n!r}")

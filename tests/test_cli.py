@@ -1,21 +1,34 @@
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import genuskit.cli as cli
+import genuskit.primeset as primeset
 from genuskit.dsl import read_value
 from genuskit.intlinalg import hnf_rows
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """``python -m genuskit`` in a fresh interpreter."""
+    path = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-m", "genuskit", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 class TestBounded:
@@ -135,6 +148,14 @@ class TestGenus:
         code, _, err = run(capsys, "genus", "module(T={2}; gens=1; rel=[]), {2}")
         assert code == 2
 
+    def test_failed_factor_split_is_out_of_scope(self, capsys, monkeypatch):
+        # a gcd that never splits makes Pollard's rho give up on 10007 * 10009
+        monkeypatch.setattr(primeset, "gcd", lambda a, b: b)
+        module = "module(T=all; rel=[[100160063,0]])"
+        code, _, err = run(capsys, "genus", f"{module}, {module}, {{2}}")
+        assert code == 3
+        assert "100160063" in err
+
 
 class TestExtGenus:
     def test_spreading_tail(self, capsys):
@@ -232,6 +253,27 @@ class TestDeterminism:
                            "--format", "json")
         assert code == 0
         assert json.loads(out)["seed"] == 11
+
+
+class TestEntryPoints:
+    ONE_SHOTS = (
+        ("verify", "124", "--samples", "3", "--seed", "5", "--format", "json"),
+        ("bounded", "--format", "json", "aut(singletons(all,{}); tail=id; 2 -> 3/2)"),
+    )
+
+    def test_back_to_back_commands_match_fresh_processes(self, capsys):
+        # the parser is built once per process; a second command must not see the first's flags
+        in_process = [run(capsys, *argv) for argv in self.ONE_SHOTS]
+        for (code, out, _), argv in zip(in_process, self.ONE_SHOTS):
+            fresh = run_module(*argv)
+            assert code == fresh.returncode == 0
+            assert out == fresh.stdout
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_python_dash_m(self):
+        done = run_module("verify", "124", "--samples", "3", "--format", "json")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["samples"] == 3
 
 
 class TestCanonicalRelations:

@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+from genuskit.dsl import print_value, read_value
 from genuskit.errors import VerificationError
 from genuskit.heis import (
     HeisElement,
@@ -89,6 +90,100 @@ class TestElement:
 
     def test_str_is_canonical(self):
         assert str(el(1, 0, Fraction(-1, 5), T23)) == "heis(T={2,3}; 1,0,-1/5)"
+
+
+class FractionTriple:
+    """Reference element: three ``Fraction`` coordinates and the textbook product."""
+
+    def __init__(self, a, b, c):
+        self.coords = (Fraction(a), Fraction(b), Fraction(c))
+
+    def __mul__(self, other):
+        (a, b, c), (x, y, z) = self.coords, other.coords
+        return FractionTriple(a + x, b + y, c + z + a * y)
+
+    def inverse(self):
+        a, b, c = self.coords
+        return FractionTriple(-a, -b, -c + a * b)
+
+    def __pow__(self, n):
+        # square and multiply, independent of the closed form under test
+        base = self if n >= 0 else self.inverse()
+        out = FractionTriple(0, 0, 0)
+        for bit in bin(abs(n))[2:]:
+            out = out * out
+            if bit == "1":
+                out = out * base
+        return out
+
+
+def matches(g, ref):
+    return (g.a, g.b, g.c) == ref.coords
+
+
+class TestAgainstFractionTriples:
+    """The integer-triple element against the ``Fraction`` reference."""
+
+    @staticmethod
+    def instance(rng):
+        if rng.random() < 0.5:
+            primes, dens = T23, (1, 5, 7, 35)
+        else:
+            primes, dens = ALL_PRIMES, (1,)
+
+        def coord():
+            return Fraction(rng.randint(-40, 40), rng.choice(dens))
+
+        coords = [(coord(), coord(), coord()) for _ in range(2)]
+        return primes, [HeisElement(primes, *c) for c in coords], [FractionTriple(*c) for c in coords]
+
+    def test_seeded_elements_agree(self):
+        rng = random.Random(909)
+        scales = set()
+        for _ in range(300):
+            primes, (x, y), (rx, ry) = self.instance(rng)
+            scales.add((x._d, y._d))
+            assert matches(x * y, rx * ry)
+            assert matches(y * x, ry * rx)
+            assert matches(x.inverse(), rx.inverse())
+            for n in range(-5, 6):
+                assert matches(x**n, rx**n)
+            big = rng.choice([-1, 1]) * rng.randint(10**6 + 1, 10**7)
+            assert matches(x**big, rx**big)
+            assert matches((x * y) ** -3 * y, (rx * ry) ** -3 * ry)
+            local = x.localize(T3 if primes == T23 else T23)
+            assert matches(local, rx) and local.primes != primes
+        # the lcm path: operands at unequal scales, T = all included
+        assert any(d != e for d, e in scales)
+        assert (1, 1) in scales
+
+    def test_equal_elements_at_different_scales(self):
+        x = el(Fraction(1, 5), Fraction(2, 7), Fraction(3, 35), T23)
+        y = el(Fraction(4, 5), Fraction(5, 7), Fraction(-3, 35), T23)
+        product = x * y
+        plain = el(1, 1, Fraction(1, 5) * Fraction(5, 7), T23)
+        assert product._d != plain._d
+        assert product == plain and hash(product) == hash(plain)
+        assert x * x.inverse() == HeisElement.identity(T23)
+        assert hash(x * x.inverse()) == hash(HeisElement.identity(T23))
+        assert len({product, plain, x * y}) == 1
+        assert product != plain.localize(T3)
+
+    def test_visible_denominator_message_is_unchanged(self):
+        with pytest.raises(ValueError, match=r"^coordinate 1/6 has a denominator visible at \{2,3\}$"):
+            HeisElement(T23, Fraction(0), Fraction(1, 6), Fraction(0))
+        with pytest.raises(ValueError, match=r"^coordinate -3/7 has a denominator visible at all$"):
+            HeisElement(ALL_PRIMES, Fraction(1), Fraction(0), Fraction(-3, 7))
+
+    def test_dsl_round_trip(self):
+        x = el(Fraction(1, 5), Fraction(-2, 7), Fraction(3, 35), T23)
+        y = el(Fraction(4, 5), Fraction(9, 7), Fraction(1, 7), T23)
+        for g in (x, y, x * y, (x * y) ** -4, x.inverse() * y):
+            text = print_value(g)
+            again = read_value(text)
+            assert again == g and print_value(again) == text
+            assert (again.a, again.b, again.c) == (g.a, g.b, g.c)
+        assert print_value(x * y) == "heis(T={2,3}; 1,1,17/35)"
 
 
 def doubled():
